@@ -8,7 +8,9 @@ use rand::SeedableRng;
 use std::time::Duration;
 
 use supg_core::selectors::{SelectorConfig, ThresholdSelector};
-use supg_core::{ApproxQuery, CachedOracle, DataView, ScoredDataset, SelectorKind, TargetKind};
+use supg_core::{
+    ApproxQuery, CachedOracle, DataView, PreparedDataset, ScoredDataset, SelectorKind, TargetKind,
+};
 use supg_datasets::BetaDataset;
 
 struct Bench {
@@ -29,7 +31,12 @@ fn run_selector(bench: &Bench, selector: &dyn ThresholdSelector, query: &ApproxQ
     let mut oracle = CachedOracle::new(labels.len(), query.budget(), move |i| labels[i]);
     let mut rng = StdRng::seed_from_u64(11);
     selector
-        .estimate(DataView::cold(&bench.data), query, &mut oracle, &mut rng)
+        .estimate(
+            DataView::prepared(&PreparedDataset::new(bench.data.clone())),
+            query,
+            &mut oracle,
+            &mut rng,
+        )
         .expect("selector failed");
 }
 

@@ -28,10 +28,18 @@ use crate::runtime::RuntimeConfig;
 /// [`prepare_rank_index`](ScoredDataset::prepare_rank_index) (what
 /// [`crate::prepared::PreparedDataset::prepare`] calls). Both produce
 /// bit-identical indexes, so when and how the index is built is
-/// unobservable in results. The index sits behind an `Arc`'d [`OnceLock`],
-/// so clones of a dataset made *after* the build share it.
+/// unobservable in results.
+///
+/// A `ScoredDataset` is an `Arc`-shared handle: cloning it is O(1), and
+/// every clone shares one score buffer and one rank index, built at most
+/// once whichever clone asks first.
 #[derive(Debug, Clone)]
 pub struct ScoredDataset {
+    inner: Arc<Inner>,
+}
+
+#[derive(Debug)]
+struct Inner {
     scores: Vec<f64>,
     index: OnceLock<Arc<RankIndex>>,
 }
@@ -58,36 +66,39 @@ impl ScoredDataset {
             }
         }
         Ok(Self {
-            scores,
-            index: OnceLock::new(),
+            inner: Arc::new(Inner {
+                scores,
+                index: OnceLock::new(),
+            }),
         })
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.scores.len()
+        self.inner.scores.len()
     }
 
     /// True when the dataset has no records (construction forbids this,
     /// so this is always false; provided for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
+        self.inner.scores.is_empty()
     }
 
     /// Proxy scores in record order.
     pub fn scores(&self) -> &[f64] {
-        &self.scores
+        &self.inner.scores
     }
 
     /// Proxy score of record `i`.
     pub fn score(&self, i: usize) -> f64 {
-        self.scores[i]
+        self.inner.scores[i]
     }
 
     /// The global rank index, built serially on first call and cached.
     pub fn rank_index(&self) -> &RankIndex {
-        self.index
-            .get_or_init(|| Arc::new(RankIndex::build_serial(&self.scores)))
+        self.inner
+            .index
+            .get_or_init(|| Arc::new(RankIndex::build_serial(self.scores())))
     }
 
     /// The global rank index, built **on the worker pool** (chunked
@@ -95,15 +106,16 @@ impl ScoredDataset {
     /// Bit-identical to the serial build at any
     /// `parallelism`; a no-op when the index already exists.
     pub fn prepare_rank_index(&self, rt: &RuntimeConfig) -> &RankIndex {
-        self.index
-            .get_or_init(|| Arc::new(RankIndex::build(&self.scores, rt)))
+        self.inner
+            .index
+            .get_or_init(|| Arc::new(RankIndex::build(self.scores(), rt)))
     }
 
     /// A shared handle to the rank index (building it serially if absent),
     /// for callers that outlive the dataset borrow (benchmarks, services).
     pub fn share_rank_index(&self) -> Arc<RankIndex> {
         self.rank_index();
-        Arc::clone(self.index.get().expect("index just initialized"))
+        Arc::clone(self.inner.index.get().expect("index just initialized"))
     }
 
     /// Record indices in descending score order (ties ascending by index).

@@ -179,6 +179,10 @@
 //! assert_eq!(prepared.cached_recipes(), 1);
 //! ```
 //!
+//! A cold session ([`SupgSession::over`]) is the same machinery: it runs
+//! over a `PreparedDataset` of its own that no other session reuses,
+//! wrapped in O(1) around the caller's dataset (a [`ScoredDataset`] is an
+//! `Arc`-shared handle, so the wrap shares its scores and rank index).
 //! Prepared and cold sessions produce identical [`QueryOutcome`]s for the
 //! same data and seed (`tests/prepared_parity.rs`); only the setup cost
 //! moves. On a 1M-record dataset the prepared path removes both the
@@ -202,7 +206,8 @@
 //! [`selectors::SelectorConfig`]) selects the O(log n)-draw CDF fallback
 //! sampler — one prefix-sum pass to build — either always (`Cdf`) or only
 //! while the recipe is cold (`Auto`, which promotes to the cached alias
-//! table once a recipe recurs). Strategies consume the seeded RNG stream
+//! table once a recipe recurs, by the same table the adaptive planner
+//! resolves from — see below). Strategies consume the seeded RNG stream
 //! differently, so each is deterministic but they are not bit-for-bit
 //! interchangeable; the CDF path carries the same `1 − δ` guarantee
 //! (checked empirically in `tests/guarantees.rs`). Finally,
@@ -277,8 +282,7 @@
 //! directly into segment-aligned chunks for
 //! [`SegmentedDataset::from_chunks`], so the contiguous column is never
 //! materialized. Flat-only accessors
-//! ([`PreparedDataset::data`](prepared::PreparedDataset::data),
-//! [`DataView::rank_index`](prepared::DataView::rank_index),
+//! ([`PreparedDataset::share_data`](prepared::PreparedDataset::share_data),
 //! [`WeightArtifacts::weights`]) panic on segmented corpora — use the
 //! layout-blind [`Corpus`] / `RankSource` / per-record accessors
 //! instead.
@@ -327,6 +331,9 @@
 //! * **Sampler**: an `Auto` request resolves from the cache state —
 //!   cold recipes take the cheapest measured build (CDF), recurring ones
 //!   promote to the cached alias table; any explicit strategy is a pin.
+//!   This table is the only promotion policy: an unplanned `Auto` query
+//!   resolves through it too, so it runs exactly what a planned one
+//!   would.
 //! * **Parallelism / batching**: latency-bound oracles (high EWMA) get
 //!   oversubscribed workers and fine batches, throughput-bound ones one
 //!   worker per core and large batches; a caller-set

@@ -195,11 +195,8 @@ pub struct PlanSignals {
     pub n: usize,
     /// Segment count (0 = flat layout).
     pub segments: usize,
-    /// Whether an artifact cache backs this query (prepared/shared
-    /// sessions).
-    pub prepared: bool,
     /// Cache state of the query's weight recipe (always
-    /// [`RecipeState::Cold`] for cold views — there is no cache).
+    /// [`RecipeState::Cold`] on a cold session's fresh cache).
     pub recipe: RecipeState,
     /// The sampler the caller asked for (`Auto` delegates to the
     /// planner; anything else is a caller pin).
@@ -284,64 +281,44 @@ impl Plan {
     }
 }
 
+/// The promotion table — the one sampler policy: what
+/// [`SamplerStrategy::Auto`] resolves to for a recipe in `recipe` state,
+/// and why. A cold recipe caches the cheapest measured build (the CDF);
+/// a recurring one promotes to the alias table, whose O(1) draws beat the
+/// CDF's per-draw binary search once warm. Planned sessions resolve
+/// through it here; unplanned `Auto` requests resolve through it in
+/// [`PreparedDataset::artifacts_with`](crate::prepared::PreparedDataset::artifacts_with).
+pub(crate) fn auto_sampler(recipe: RecipeState) -> (SamplerStrategy, &'static str) {
+    match recipe {
+        RecipeState::Cold => (
+            SamplerStrategy::Cdf,
+            "cold recipe: cache the cheapest measured build first",
+        ),
+        RecipeState::WarmCdf => (
+            SamplerStrategy::Alias,
+            "recipe recurring (CDF cached from first sight); promote to alias \
+             — O(1) draws beat per-draw CDF binary search once warm",
+        ),
+        RecipeState::WarmAlias => (
+            SamplerStrategy::Alias,
+            "alias artifacts cached for this recipe (warm hit)",
+        ),
+    }
+}
+
 fn resolve_sampler(s: &PlanSignals, rationale: &mut Vec<Decision>) -> SamplerStrategy {
-    let mut sampler = if let Some(pin) =
-        s.policy.pin_sampler.filter(|p| *p != SamplerStrategy::Auto)
-    {
-        rationale.push(Decision {
-            choice: format!("sampler={}", strategy_name(pin)),
-            because: "pinned by server override".to_owned(),
-        });
-        pin
-    } else if s.requested_sampler != SamplerStrategy::Auto {
-        rationale.push(Decision {
-            choice: format!("sampler={}", strategy_name(s.requested_sampler)),
-            because: "pinned by caller".to_owned(),
-        });
-        s.requested_sampler
-    } else if !s.prepared {
-        // Cold view: no cache, every build is one-shot. Pay whichever
-        // build the calibration measured cheaper.
-        rationale.push(Decision {
-            choice: "sampler=cdf".to_owned(),
-            because: "cold view: one-shot CDF scan is the cheapest measured build".to_owned(),
-        });
-        SamplerStrategy::Cdf
-    } else {
-        match s.recipe {
-            RecipeState::WarmAlias => {
-                rationale.push(Decision {
-                    choice: "sampler=alias".to_owned(),
-                    because: "alias artifacts cached for this recipe (warm hit)".to_owned(),
-                });
-                SamplerStrategy::Alias
-            }
-            RecipeState::WarmCdf => {
-                rationale.push(Decision {
-                    choice: "sampler=alias".to_owned(),
-                    because: "recipe recurring (CDF cached from first sight); promote to alias \
-                              — O(1) draws beat per-draw CDF binary search once warm"
-                        .to_owned(),
-                });
-                SamplerStrategy::Alias
-            }
-            RecipeState::SeenOnce => {
-                rationale.push(Decision {
-                    choice: "sampler=alias".to_owned(),
-                    because: "recipe recurring (Auto saw it once); promote to cached alias"
-                        .to_owned(),
-                });
-                SamplerStrategy::Alias
-            }
-            RecipeState::Cold => {
-                rationale.push(Decision {
-                    choice: "sampler=cdf".to_owned(),
-                    because: "cold recipe: cache the cheapest measured build first".to_owned(),
-                });
-                SamplerStrategy::Cdf
-            }
-        }
-    };
+    let (mut sampler, because) =
+        if let Some(pin) = s.policy.pin_sampler.filter(|p| *p != SamplerStrategy::Auto) {
+            (pin, "pinned by server override")
+        } else if s.requested_sampler != SamplerStrategy::Auto {
+            (s.requested_sampler, "pinned by caller")
+        } else {
+            auto_sampler(s.recipe)
+        };
+    rationale.push(Decision {
+        choice: format!("sampler={}", strategy_name(sampler)),
+        because: because.to_owned(),
+    });
     if s.policy.forbid_cdf && sampler == SamplerStrategy::Cdf {
         rationale.push(Decision {
             choice: "sampler=alias".to_owned(),
@@ -632,7 +609,6 @@ mod tests {
         PlanSignals {
             n: 100_000,
             segments: 0,
-            prepared: true,
             recipe: RecipeState::Cold,
             requested_sampler: SamplerStrategy::Auto,
             pinned_runtime: None,
@@ -653,8 +629,6 @@ mod tests {
     fn auto_promotes_cold_to_warm_like_the_auto_strategy() {
         let mut s = base_signals();
         assert_eq!(Plan::resolve(&s).sampler, SamplerStrategy::Cdf);
-        s.recipe = RecipeState::SeenOnce;
-        assert_eq!(Plan::resolve(&s).sampler, SamplerStrategy::Alias);
         s.recipe = RecipeState::WarmAlias;
         assert_eq!(Plan::resolve(&s).sampler, SamplerStrategy::Alias);
         s.recipe = RecipeState::WarmCdf;

@@ -1,12 +1,13 @@
 //! Shared prepared-dataset artifacts for high-throughput serving.
 //!
 //! The SUPG sampling stage has per-dataset preprocessing that is
-//! independent of any single query: the global [`RankIndex`] is an
-//! O(n log n) sort, building [`ImportanceWeights`] is an O(n) pass over
-//! every proxy score, and the O(1)-draw [`AliasTable`] is another O(n)
-//! construction. A service answering many queries over the same corpus —
-//! the production regime this workspace grows toward — must pay all of
-//! that once per `(dataset, weight recipe)`, not once per query.
+//! independent of any single query: the global
+//! [`RankIndex`](crate::rank::RankIndex) is an O(n log n) sort, building
+//! [`ImportanceWeights`] is an O(n) pass over every proxy score, and the
+//! O(1)-draw [`AliasTable`] is another O(n) construction. A service
+//! answering many queries over the same corpus — the production regime
+//! this workspace grows toward — must pay all of that once per
+//! `(dataset, weight recipe)`, not once per query.
 //!
 //! [`PreparedDataset`] is that amortization layer: an `Arc`-shared
 //! [`ScoredDataset`] (whose rank index every query serves `D(τ)` from)
@@ -15,9 +16,13 @@
 //! built on first use and reused by every subsequent query, from any
 //! thread. Sessions accept it via
 //! [`SupgSession::over_prepared`](crate::session::SupgSession::over_prepared)
-//! / [`over_shared`](crate::session::SupgSession::over_shared); selectors
-//! receive it through [`DataView`], which also covers the cold
-//! (unprepared) path so one code path serves both.
+//! / [`over_shared`](crate::session::SupgSession::over_shared), and a
+//! cold session ([`over`](crate::session::SupgSession::over) /
+//! [`over_segmented`](crate::session::SupgSession::over_segmented)) is
+//! just a session-owned `PreparedDataset` that no other session ever
+//! reuses — wrapping the caller's corpus is O(1), because
+//! [`ScoredDataset`] is itself an `Arc`-shared handle. Selectors receive
+//! it through [`DataView`], so one code path serves every session.
 //!
 //! ## Parallel construction
 //!
@@ -39,9 +44,13 @@
 //! artifact; a truly one-shot query does not need O(1) draws at all.
 //! [`SamplerStrategy`] picks the backend per query: `Alias` (the
 //! default, preserving every bit-parity contract), `Cdf` (always the
-//! single-pass [`CdfSampler`] build), or `Auto` (CDF for cold one-shot
-//! queries, promoted to the cached alias table once a recipe recurs).
-//! The strategy rides on
+//! single-pass [`CdfSampler`] build), or `Auto`, which resolves from the
+//! recipe's [`RecipeState`] through the planner's one promotion table
+//! ([`crate::plan`]): a cold recipe builds and caches the CDF, a
+//! recurring one is served from the cached alias table. Planned
+//! sessions, unplanned sessions and direct
+//! [`artifacts_with`](PreparedDataset::artifacts_with) calls all resolve
+//! `Auto` the same way. The strategy rides on
 //! [`SelectorConfig::sampler`](crate::selectors::SelectorConfig) and is
 //! surfaced as `SupgSession::sampler_strategy(..)`.
 //!
@@ -67,13 +76,14 @@
 //! [`cache_stats`](PreparedDataset::cache_stats) exposes lifetime
 //! hit/miss/eviction counters for the serving layer's observability.
 //!
-//! Determinism: a prepared session runs the exact same artifact objects a
-//! cold session would build fresh, so prepared and cold executions of the
-//! same seeded query produce identical
+//! Determinism: artifacts are pure functions of `(scores, recipe)`, so a
+//! shared dataset's cached artifacts equal the ones a cold session's
+//! fresh cache builds, and prepared and cold executions of the same
+//! seeded query produce identical
 //! [`QueryOutcome`](crate::session::QueryOutcome)s (enforced by
 //! `crates/core/tests/prepared_parity.rs`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -86,7 +96,7 @@ use supg_sampling::{
 
 use crate::data::ScoredDataset;
 use crate::error::SupgError;
-use crate::rank::RankIndex;
+use crate::plan::auto_sampler;
 use crate::runtime::{self, RuntimeConfig};
 use crate::segment::{Corpus, SegmentedDataset};
 use crate::selectors::SelectorConfig;
@@ -113,6 +123,8 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 /// backend itself depends on the artifact-cache state (a cold recipe
 /// draws through the CDF, a recurring one through the alias table), so
 /// only `Alias` and `Cdf` are reproducible independent of query history.
+/// A cold session starts from an empty cache, so its first `Auto` query
+/// always draws through the CDF.
 /// Every strategy carries the identical statistical guarantee (pinned by
 /// `crates/core/tests/sampler_parity.rs` and the CDF configurations in
 /// `crates/core/tests/guarantees.rs`).
@@ -125,9 +137,10 @@ pub enum SamplerStrategy {
     /// Always the O(log n)-draw CDF sampler (cheapest possible setup for
     /// every query; prepared sessions cache the CDF artifacts instead).
     Cdf,
-    /// Cold views and the first request for a recipe on a prepared
-    /// dataset serve a fresh one-shot CDF sampler; from the second
-    /// request on (or after [`PreparedDataset::warm`]) the recipe's alias
+    /// Resolved per request from the recipe's [`RecipeState`] by the
+    /// planner's promotion table: a [`Cold`](RecipeState::Cold) recipe
+    /// builds and caches the cheap CDF sampler; once the recipe recurs
+    /// (CDF cached) or was warmed ([`PreparedDataset::warm`]), its alias
     /// table is built, cached and served. Trades the cold/warm bit-parity
     /// of [`Alias`](SamplerStrategy::Alias) for minimum time-to-first-
     /// result on fresh corpora.
@@ -135,18 +148,17 @@ pub enum SamplerStrategy {
 }
 
 /// Where a weight recipe stands in a [`PreparedDataset`]'s artifact
-/// cache — the cache-state signal the adaptive planner
-/// ([`crate::plan`]) resolves sampler strategies from. Obtained via
+/// cache — the one signal [`SamplerStrategy::Auto`] resolves from,
+/// through the planner's promotion table ([`crate::plan`]). Obtained via
 /// [`PreparedDataset::recipe_state`], a *pure peek*: unlike
-/// [`PreparedDataset::artifacts_with`] it never builds anything, never
-/// counts a hit or miss, and never advances `Auto`'s promotion memory.
+/// [`PreparedDataset::artifacts_with`] it never builds anything and
+/// never counts a hit or miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecipeState {
-    /// Never requested — any build will be paid from scratch.
+    /// Nothing cached for this recipe (never requested, or evicted) —
+    /// what every recipe of a cold session's fresh cache reports. Any
+    /// build is paid from scratch.
     Cold,
-    /// [`SamplerStrategy::Auto`] served its uncached one-shot CDF for
-    /// this recipe; its next request promotes to a cached alias table.
-    SeenOnce,
     /// CDF artifacts are cached for this recipe.
     WarmCdf,
     /// The alias table is cached — the O(1)-draw steady state.
@@ -200,9 +212,9 @@ enum WeightStore {
 /// The per-`(dataset, weight recipe)` sampling artifacts: the normalized
 /// importance distribution and a prebuilt weighted sampler over it — the
 /// O(1)-draw alias table ([`build`](WeightArtifacts::build)) or the CDF
-/// fallback ([`build_cdf`](WeightArtifacts::build_cdf)), chosen by the
-/// serving layer's [`SamplerStrategy`]. Segmented corpora get the
-/// chunk-resident counterparts
+/// fallback ([`build_cdf_with`](WeightArtifacts::build_cdf_with)),
+/// chosen by the serving layer's [`SamplerStrategy`]. Segmented corpora
+/// get the chunk-resident counterparts
 /// ([`build_segmented_with`](WeightArtifacts::build_segmented_with) /
 /// [`build_segmented_cdf_with`](WeightArtifacts::build_segmented_cdf_with)).
 #[derive(Debug, Clone)]
@@ -239,9 +251,9 @@ impl WeightArtifacts {
     /// The chunked build with an **explicit** chunk count, regardless of
     /// machine size — the deterministic core of
     /// [`build_with`](Self::build_with), exposed (like
-    /// [`RankIndex::build_chunked`]) so the chunk-partitioned feed path
-    /// stays testable even where `available_parallelism` would clamp it
-    /// away. Bit-identical to [`build`](Self::build) for every `runs ≥ 1`.
+    /// [`RankIndex::build_chunked`](crate::rank::RankIndex::build_chunked))
+    /// so the chunk-partitioned feed path stays testable even where
+    /// `available_parallelism` would clamp it away. Bit-identical to [`build`](Self::build) for every `runs ≥ 1`.
     pub fn build_chunked(scores: &[f64], exponent: f64, uniform_mix: f64, runs: usize) -> Self {
         validate_scores(scores, exponent);
         let runs = runs.max(1);
@@ -268,13 +280,8 @@ impl WeightArtifacts {
     /// Builds the CDF-backed artifacts: the same importance distribution,
     /// sampled through a [`CdfSampler`] whose construction is one serial
     /// prefix-sum pass — the cheapest setup for a cold one-shot query.
-    pub fn build_cdf(scores: &[f64], exponent: f64, uniform_mix: f64) -> Self {
-        Self::build_cdf_with(scores, exponent, uniform_mix, &RuntimeConfig::sequential())
-    }
-
-    /// [`build_cdf`](Self::build_cdf) with the `A(x)^p` transform and
-    /// normalization evaluated chunk-by-chunk on the worker pool. The
-    /// prefix sum itself is a serial floating-point accumulation by
+    /// The `A(x)^p` transform and normalization run chunk-by-chunk on the
+    /// worker pool. The prefix sum itself is a serial floating-point accumulation by
     /// design (keeping it serial is what makes CDF artifacts bit-identical
     /// wherever they are built), and it is already the cheapest pass of
     /// the build.
@@ -332,7 +339,7 @@ impl WeightArtifacts {
     /// default [`SamplerStrategy::Alias`].
     ///
     /// # Panics
-    /// As [`build_cdf`](Self::build_cdf).
+    /// As [`build_cdf_with`](Self::build_cdf_with).
     pub fn build_segmented_cdf_with(
         seg: &SegmentedDataset,
         exponent: f64,
@@ -552,28 +559,6 @@ struct RecipeKey {
     layout: u64,
 }
 
-impl RecipeKey {
-    fn alias(exponent: f64, uniform_mix: f64) -> Self {
-        Self {
-            exponent_bits: exponent.to_bits(),
-            mix_bits: uniform_mix.to_bits(),
-            cdf: false,
-            layout: 0,
-        }
-    }
-
-    fn cdf(exponent: f64, uniform_mix: f64) -> Self {
-        Self {
-            cdf: true,
-            ..Self::alias(exponent, uniform_mix)
-        }
-    }
-
-    fn with_layout(self, layout: u64) -> Self {
-        Self { layout, ..self }
-    }
-}
-
 /// One cached recipe: the shared artifacts plus an atomically stamped
 /// last-served recency mark, updatable through the cache's *read* lock.
 struct CacheEntry {
@@ -581,15 +566,12 @@ struct CacheEntry {
     last_used: AtomicU64,
 }
 
-/// The `RwLock`-guarded cache state: recipe → [`CacheEntry`], the
-/// capacity bound, and the recipes [`SamplerStrategy::Auto`] has served a
-/// one-shot CDF for (its "second request promotes to alias" memory).
-/// The monotone recency clock lives *outside* the lock (on
-/// [`PreparedDataset`]) so warm hits never need the write lock.
+/// The `RwLock`-guarded cache state: recipe → [`CacheEntry`] and the
+/// capacity bound. The monotone recency clock lives *outside* the lock
+/// (on [`PreparedDataset`]) so warm hits never need the write lock.
 struct ArtifactCache {
     map: HashMap<RecipeKey, CacheEntry>,
     capacity: usize,
-    auto_seen: HashSet<RecipeKey>,
 }
 
 impl ArtifactCache {
@@ -648,8 +630,7 @@ impl ArtifactCache {
 
 /// A snapshot of one [`PreparedDataset`]'s lifetime artifact-cache
 /// counters ([`PreparedDataset::cache_stats`]): how many recipe requests
-/// were served from the cache (`hits`), how many had to build (`misses` —
-/// including [`SamplerStrategy::Auto`]'s uncached one-shot CDF builds),
+/// were served from the cache (`hits`), how many had to build (`misses`),
 /// and how many cached recipes the LRU bound dropped (`evictions`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -706,8 +687,7 @@ impl QueryProbe {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Artifact requests this query paid a fresh build for (every cold
-    /// view request counts here — there is no cache to hit).
+    /// Artifact requests this query paid a fresh build for.
     pub fn cache_misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -789,7 +769,6 @@ impl PreparedDataset {
             cache: RwLock::new(ArtifactCache {
                 map: HashMap::new(),
                 capacity: DEFAULT_CACHE_CAPACITY,
-                auto_seen: HashSet::new(),
             }),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -869,25 +848,12 @@ impl PreparedDataset {
         }
     }
 
-    /// The underlying scored dataset of a **flat** preparation.
-    ///
-    /// # Panics
-    /// Panics for segmented corpora, which never hold a flat dataset —
-    /// use [`corpus`](Self::corpus), which serves both layouts.
-    pub fn data(&self) -> &ScoredDataset {
-        match &self.corpus {
-            PreparedCorpus::Flat(data) => data,
-            PreparedCorpus::Segmented(_) => {
-                panic!("PreparedDataset::data: segmented corpus has no flat dataset")
-            }
-        }
-    }
-
     /// A new shared handle to the underlying dataset of a **flat**
     /// preparation.
     ///
     /// # Panics
-    /// As [`data`](Self::data) for segmented corpora.
+    /// Panics for segmented corpora, which never hold a flat dataset —
+    /// use [`corpus`](Self::corpus), which serves both layouts.
     pub fn share_data(&self) -> Arc<ScoredDataset> {
         match &self.corpus {
             PreparedCorpus::Flat(data) => Arc::clone(data),
@@ -911,25 +877,25 @@ impl PreparedDataset {
         self.len() == 0
     }
 
-    /// The cache-key layout component: 0 for flat corpora, the segment
-    /// size for segmented ones.
-    fn layout_key(&self) -> u64 {
-        match &self.corpus {
-            PreparedCorpus::Flat(_) => 0,
-            PreparedCorpus::Segmented(seg) => seg.segment_size() as u64,
+    /// The cache key of one recipe and backend over this dataset's
+    /// layout (0 for flat corpora, the segment size for segmented ones).
+    fn key(&self, exponent: f64, uniform_mix: f64, cdf: bool) -> RecipeKey {
+        RecipeKey {
+            exponent_bits: exponent.to_bits(),
+            mix_bits: uniform_mix.to_bits(),
+            cdf,
+            layout: match &self.corpus {
+                PreparedCorpus::Flat(_) => 0,
+                PreparedCorpus::Segmented(seg) => seg.segment_size() as u64,
+            },
         }
     }
 
-    /// Builds one recipe's artifacts over whichever corpus layout this
-    /// dataset holds (the one place layout dispatch happens on the build
-    /// path).
-    fn build_arts(
-        &self,
-        exponent: f64,
-        uniform_mix: f64,
-        cdf: bool,
-        rt: &RuntimeConfig,
-    ) -> WeightArtifacts {
+    /// Builds one recipe's artifacts on the configured pool over
+    /// whichever corpus layout this dataset holds (the one place layout
+    /// dispatch happens on the build path).
+    fn build_arts(&self, exponent: f64, uniform_mix: f64, cdf: bool) -> WeightArtifacts {
+        let rt = &self.runtime();
         match (&self.corpus, cdf) {
             (PreparedCorpus::Flat(d), false) => {
                 WeightArtifacts::build_with(d.scores(), exponent, uniform_mix, rt)
@@ -964,11 +930,10 @@ impl PreparedDataset {
     /// * [`Alias`](SamplerStrategy::Alias) / [`Cdf`](SamplerStrategy::Cdf)
     ///   — cached under distinct keys, built (on the configured pool) on
     ///   first use.
-    /// * [`Auto`](SamplerStrategy::Auto) — serves the cached alias
-    ///   artifacts when the recipe is warm; otherwise the *first* request
-    ///   gets a fresh, uncached one-shot CDF build (the cheap cold path),
-    ///   and the second request for the same recipe promotes it to a
-    ///   cached alias table.
+    /// * [`Auto`](SamplerStrategy::Auto) — resolved from the recipe's
+    ///   [`recipe_state`](Self::recipe_state) by the planner's promotion
+    ///   table, then served as above: a cold recipe builds and caches
+    ///   the CDF, a recurring one the alias table.
     pub fn artifacts_with(
         &self,
         exponent: f64,
@@ -980,86 +945,33 @@ impl PreparedDataset {
 
     /// [`artifacts_with`](Self::artifacts_with) plus whether the request
     /// was a cache hit — what [`DataView`] feeds its [`QueryProbe`].
-    pub(crate) fn artifacts_probed(
+    fn artifacts_probed(
         &self,
         exponent: f64,
         uniform_mix: f64,
         strategy: SamplerStrategy,
     ) -> (Arc<WeightArtifacts>, bool) {
-        let rt = self.runtime();
-        let layout = self.layout_key();
-        match strategy {
-            SamplerStrategy::Alias => self.cached_artifacts(
-                RecipeKey::alias(exponent, uniform_mix).with_layout(layout),
-                || self.build_arts(exponent, uniform_mix, false, &rt),
-            ),
-            SamplerStrategy::Cdf => self.cached_artifacts(
-                RecipeKey::cdf(exponent, uniform_mix).with_layout(layout),
-                || self.build_arts(exponent, uniform_mix, true, &rt),
-            ),
-            SamplerStrategy::Auto => {
-                let key = RecipeKey::alias(exponent, uniform_mix).with_layout(layout);
-                // Warm recipe: the shared-read-lock hot path.
-                if let Some(hit) = self.read_cached(key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (hit, true);
-                }
-                // Cold recipe: one write-lock critical section for the
-                // promotion bookkeeping. A racer may have inserted the
-                // artifacts since the read — serve those as a hit.
-                enum Cold {
-                    Raced(Arc<WeightArtifacts>),
-                    Recurring,
-                    FirstSight,
-                }
-                let state = {
-                    let mut cache = self.cache.write().expect("artifact cache poisoned");
-                    if let Some(hit) = cache.touch(key, &self.clock) {
-                        Cold::Raced(hit)
-                    } else {
-                        // Bound the promotion memory like the cache
-                        // itself: losing it only costs one extra
-                        // one-shot CDF build.
-                        if cache.auto_seen.len() > cache.capacity.saturating_mul(4) {
-                            cache.auto_seen.clear();
-                        }
-                        if cache.auto_seen.insert(key) {
-                            Cold::FirstSight
-                        } else {
-                            Cold::Recurring
-                        }
-                    }
-                };
-                match state {
-                    Cold::Raced(hit) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        (hit, true)
-                    }
-                    Cold::Recurring => {
-                        // Second request: the recipe is recurring — pay
-                        // the alias build once and serve it from the
-                        // cache on.
-                        let built = self.cached_artifacts(key, || {
-                            self.build_arts(exponent, uniform_mix, false, &rt)
-                        });
-                        self.cache
-                            .write()
-                            .expect("artifact cache poisoned")
-                            .auto_seen
-                            .remove(&key);
-                        built
-                    }
-                    Cold::FirstSight => {
-                        // First sight: cheapest possible one-shot setup,
-                        // not cached (the point is not to pay for
-                        // artifacts a one-shot query never reuses).
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        let built = Arc::new(self.build_arts(exponent, uniform_mix, true, &rt));
-                        (built, false)
-                    }
-                }
-            }
+        let strategy = match strategy {
+            SamplerStrategy::Auto => auto_sampler(self.recipe_state(exponent, uniform_mix)).0,
+            pinned => pinned,
+        };
+        let cdf = strategy == SamplerStrategy::Cdf;
+        let key = self.key(exponent, uniform_mix, cdf);
+        if let Some(hit) = self.read_cached(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (hit, true);
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let built = Arc::new(self.build_arts(exponent, uniform_mix, cdf));
+        let (kept, evicted) =
+            self.cache
+                .write()
+                .expect("artifact cache poisoned")
+                .insert(key, built, &self.clock);
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        }
+        (kept, false)
     }
 
     /// The read-lock-only warm lookup (recency stamped via the atomic
@@ -1072,48 +984,21 @@ impl PreparedDataset {
     }
 
     /// Where the weight recipe `(exponent, uniform_mix)` stands in this
-    /// dataset's artifact cache — the planner's cache-state signal. A
-    /// pure peek under the shared read lock: no build, no hit/miss
-    /// accounting, no promotion-memory side effects. An alias entry
-    /// shadows a CDF entry (the O(1)-draw steady state wins).
+    /// dataset's artifact cache — the signal [`SamplerStrategy::Auto`]
+    /// resolves from. A pure peek under the shared read lock: no build,
+    /// no hit/miss accounting. An alias entry shadows a CDF entry (the
+    /// O(1)-draw steady state wins).
     pub fn recipe_state(&self, exponent: f64, uniform_mix: f64) -> RecipeState {
-        let layout = self.layout_key();
-        let alias_key = RecipeKey::alias(exponent, uniform_mix).with_layout(layout);
-        let cdf_key = RecipeKey::cdf(exponent, uniform_mix).with_layout(layout);
+        let alias_key = self.key(exponent, uniform_mix, false);
+        let cdf_key = self.key(exponent, uniform_mix, true);
         let cache = self.cache.read().expect("artifact cache poisoned");
         if cache.map.contains_key(&alias_key) {
             RecipeState::WarmAlias
         } else if cache.map.contains_key(&cdf_key) {
             RecipeState::WarmCdf
-        } else if cache.auto_seen.contains(&alias_key) {
-            RecipeState::SeenOnce
         } else {
             RecipeState::Cold
         }
-    }
-
-    /// Cache lookup / build-outside-the-lock / insert for one key.
-    /// Returns the kept artifacts and whether the request hit the cache.
-    fn cached_artifacts(
-        &self,
-        key: RecipeKey,
-        build: impl FnOnce() -> WeightArtifacts,
-    ) -> (Arc<WeightArtifacts>, bool) {
-        if let Some(hit) = self.read_cached(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (hit, true);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(build());
-        let (kept, evicted) =
-            self.cache
-                .write()
-                .expect("artifact cache poisoned")
-                .insert(key, built, &self.clock);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        (kept, false)
     }
 
     /// Pre-builds everything a selector configuration will need — the
@@ -1162,9 +1047,8 @@ impl PreparedDataset {
     /// accumulated over the dataset's lifetime across all threads.
     ///
     /// Hits are requests served from the cache under the shared read
-    /// lock; misses paid an artifact build (including `Auto`'s uncached
-    /// first-sight CDF builds); evictions count recipes dropped to hold
-    /// the capacity bound. Counters use relaxed atomics — the snapshot
+    /// lock; misses paid an artifact build; evictions count recipes
+    /// dropped to hold the capacity bound. Counters use relaxed atomics — the snapshot
     /// is consistent-enough for monitoring, not a linearizable read.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
@@ -1175,51 +1059,27 @@ impl PreparedDataset {
     }
 }
 
-/// The borrowed view a selector runs against: the corpus (flat or
-/// segmented) plus, when the session was given a [`PreparedDataset`],
-/// the shared artifact cache. Cold views build artifacts fresh per call —
-/// exactly the historical per-query behavior — so every selector has one
-/// code path and prepared vs. cold differ only in amortization, never in
-/// results.
+/// The borrowed view a selector runs against: a [`PreparedDataset`] —
+/// shared, or a cold session's own fresh one — plus the query's optional
+/// [`QueryProbe`]. Every selector has one code path; shared and cold
+/// sessions differ only in amortization, never in results.
 #[derive(Debug, Clone, Copy)]
 pub struct DataView<'a> {
-    corpus: Corpus<'a>,
-    prepared: Option<&'a PreparedDataset>,
+    prepared: &'a PreparedDataset,
     probe: Option<&'a QueryProbe>,
 }
 
 impl<'a> DataView<'a> {
-    /// A view with no artifact cache (per-query construction).
-    pub fn cold(data: &'a ScoredDataset) -> Self {
-        Self {
-            corpus: Corpus::Flat(data),
-            prepared: None,
-            probe: None,
-        }
-    }
-
-    /// A cold view over a segmented corpus (per-query construction of the
-    /// chunk-resident artifacts).
-    pub fn cold_segmented(seg: &'a SegmentedDataset) -> Self {
-        Self {
-            corpus: Corpus::Segmented(seg),
-            prepared: None,
-            probe: None,
-        }
-    }
-
     /// A view backed by a prepared dataset's artifact cache.
     pub fn prepared(prepared: &'a PreparedDataset) -> Self {
         Self {
-            corpus: prepared.corpus(),
-            prepared: Some(prepared),
+            prepared,
             probe: None,
         }
     }
 
     /// Attaches a per-query [`QueryProbe`]: every artifact request made
-    /// through this view records a hit or miss on it. Cold views record
-    /// every request as a miss (each one pays a fresh build).
+    /// through this view records a hit or miss on it.
     pub fn with_probe(mut self, probe: &'a QueryProbe) -> Self {
         self.probe = Some(probe);
         self
@@ -1229,81 +1089,37 @@ impl<'a> DataView<'a> {
     /// global ranks and top-k identically for flat and segmented
     /// layouts, so selectors are layout-blind.)
     pub fn data(&self) -> Corpus<'a> {
-        self.corpus
-    }
-
-    /// True when backed by a prepared artifact cache.
-    pub fn is_prepared(&self) -> bool {
-        self.prepared.is_some()
-    }
-
-    /// The **flat** dataset's global rank index (shared with every other
-    /// session over the same prepared corpus; lazily built on cold
-    /// views).
-    ///
-    /// # Panics
-    /// Panics for segmented corpora, which keep per-segment indexes —
-    /// use [`rank_source`](Self::rank_source), which serves both layouts.
-    pub fn rank_index(&self) -> &'a RankIndex {
-        match self.corpus {
-            Corpus::Flat(data) => data.rank_index(),
-            Corpus::Segmented(_) => {
-                panic!("DataView::rank_index: segmented corpus has no global rank index")
-            }
-        }
+        self.prepared.corpus()
     }
 
     /// The rank structure query results are served from, for either
     /// layout — what [`ResultView::over`](crate::executor::ResultView)
     /// consumes.
     pub fn rank_source(&self) -> crate::executor::RankSource<'a> {
-        match self.corpus {
+        match self.data() {
             Corpus::Flat(data) => crate::executor::RankSource::Flat(data.rank_index()),
             Corpus::Segmented(seg) => crate::executor::RankSource::Segmented(seg),
         }
     }
 
-    /// The alias-backed sampling artifacts for a weight recipe: cache hit
-    /// when prepared, fresh O(n) build when cold.
+    /// The alias-backed sampling artifacts for a weight recipe (cache
+    /// hit, or an O(n) build on first use).
     pub fn artifacts(&self, exponent: f64, uniform_mix: f64) -> Arc<WeightArtifacts> {
         self.artifacts_with(exponent, uniform_mix, SamplerStrategy::Alias)
     }
 
     /// The sampling artifacts for a weight recipe under a
-    /// [`SamplerStrategy`]. Prepared views delegate to
-    /// [`PreparedDataset::artifacts_with`]; cold views build fresh per
-    /// call — [`Auto`](SamplerStrategy::Auto) resolves to the cheap
-    /// one-shot CDF build there, because a cold view by definition has no
-    /// cache to amortize an alias table into.
+    /// [`SamplerStrategy`] — [`PreparedDataset::artifacts_with`],
+    /// recorded on the attached probe.
     pub fn artifacts_with(
         &self,
         exponent: f64,
         uniform_mix: f64,
         strategy: SamplerStrategy,
     ) -> Arc<WeightArtifacts> {
-        let (arts, hit) = match self.prepared {
-            Some(p) => p.artifacts_probed(exponent, uniform_mix, strategy),
-            None => {
-                let rt = RuntimeConfig::sequential();
-                (
-                    Arc::new(match (self.corpus, strategy) {
-                        (Corpus::Flat(d), SamplerStrategy::Alias) => {
-                            WeightArtifacts::build(d.scores(), exponent, uniform_mix)
-                        }
-                        (Corpus::Flat(d), _) => {
-                            WeightArtifacts::build_cdf(d.scores(), exponent, uniform_mix)
-                        }
-                        (Corpus::Segmented(s), SamplerStrategy::Alias) => {
-                            WeightArtifacts::build_segmented_with(s, exponent, uniform_mix, &rt)
-                        }
-                        (Corpus::Segmented(s), _) => {
-                            WeightArtifacts::build_segmented_cdf_with(s, exponent, uniform_mix, &rt)
-                        }
-                    }),
-                    false,
-                )
-            }
-        };
+        let (arts, hit) = self
+            .prepared
+            .artifacts_probed(exponent, uniform_mix, strategy);
         if let Some(probe) = self.probe {
             probe.record(hit);
         }
@@ -1346,10 +1162,8 @@ mod tests {
     fn cold_and_prepared_views_build_identical_artifacts() {
         let data = dataset();
         let p = PreparedDataset::new(data.clone());
-        let cold = DataView::cold(&data).artifacts(0.5, 0.1);
+        let cold = WeightArtifacts::build(data.scores(), 0.5, 0.1);
         let prepared = DataView::prepared(&p).artifacts(0.5, 0.1);
-        assert!(!DataView::cold(&data).is_prepared());
-        assert!(DataView::prepared(&p).is_prepared());
         assert_eq!(cold.weights().probs(), prepared.weights().probs());
         for i in 0..data.len() {
             assert_eq!(
@@ -1442,8 +1256,9 @@ mod tests {
         p.set_cache_capacity(1);
         assert_eq!(p.cache_stats().evictions, 1);
 
-        // Auto: first sight is an uncached miss, the recurrence promotes
-        // (a miss that builds the cached alias table), then hits.
+        // Auto: a cold recipe builds and caches the CDF (a miss), the
+        // recurrence promotes (a miss that builds the alias table), then
+        // hits.
         let _ = p.artifacts_with(0.3, 0.0, SamplerStrategy::Auto);
         let before = p.cache_stats();
         let _ = p.artifacts_with(0.3, 0.0, SamplerStrategy::Auto);
@@ -1454,22 +1269,27 @@ mod tests {
     }
 
     #[test]
-    fn query_probe_counts_view_requests() {
-        let data = dataset();
-        let p = PreparedDataset::new(data.clone());
+    fn auto_resolves_from_the_recipe_state() {
+        let p = PreparedDataset::new(dataset());
+        let first = p.artifacts_with(0.5, 0.1, SamplerStrategy::Auto);
+        assert!(first.draws_via_cdf(), "a cold recipe builds the CDF");
+        assert_eq!(p.recipe_state(0.5, 0.1), RecipeState::WarmCdf);
+        let second = p.artifacts_with(0.5, 0.1, SamplerStrategy::Auto);
+        assert!(!second.draws_via_cdf(), "a recurring recipe promotes");
+        assert_eq!(p.recipe_state(0.5, 0.1), RecipeState::WarmAlias);
+        let third = p.artifacts_with(0.5, 0.1, SamplerStrategy::Auto);
+        assert!(Arc::ptr_eq(&second, &third));
+        assert_eq!(p.cached_recipes(), 2);
+    }
 
+    #[test]
+    fn query_probe_counts_view_requests() {
+        let p = PreparedDataset::new(dataset());
         let probe = QueryProbe::new();
         let view = DataView::prepared(&p).with_probe(&probe);
         let _ = view.artifacts(0.5, 0.1); // miss
         let _ = view.artifacts(0.5, 0.1); // hit
         assert_eq!((probe.cache_hits(), probe.cache_misses()), (1, 1));
-
-        // Cold views record every request as a miss.
-        let cold_probe = QueryProbe::new();
-        let cold = DataView::cold(&data).with_probe(&cold_probe);
-        let _ = cold.artifacts(0.5, 0.1);
-        let _ = cold.artifacts(0.5, 0.1);
-        assert_eq!((cold_probe.cache_hits(), cold_probe.cache_misses()), (0, 2));
     }
 
     #[test]
@@ -1479,7 +1299,8 @@ mod tests {
             .with_runtime(RuntimeConfig::default().with_parallelism(4));
         p.prepare();
         // The index lives on the shared dataset, not a private copy.
-        let idx = p.data().rank_index();
+        let shared = p.share_data();
+        let idx = shared.rank_index();
         assert_eq!(idx.len(), 100);
         assert!(std::ptr::eq(idx, data.rank_index()));
         assert_eq!(p.runtime().parallelism, 4);
@@ -1561,7 +1382,7 @@ mod tests {
     fn segmented_preparation_rejects_flat_data_accessor() {
         let scores: Vec<f64> = (0..10).map(|i| i as f64 / 10.0).collect();
         let p = PreparedDataset::from_segmented(SegmentedDataset::new(scores, 4).unwrap());
-        let _ = p.data();
+        let _ = p.share_data();
     }
 
     #[test]

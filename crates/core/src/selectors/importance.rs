@@ -106,6 +106,7 @@ mod tests {
     use crate::data::ScoredDataset;
     use crate::metrics::evaluate;
     use crate::oracle::CachedOracle;
+    use crate::selectors::cold;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use supg_stats::dist::{Bernoulli, Beta};
@@ -137,13 +138,14 @@ mod tests {
     #[test]
     fn importance_meets_recall_target() {
         let (data, labels) = rare(50_000, 31);
+        let prepared = cold(&data);
         let query = ApproxQuery::recall_target(0.9, 0.05, 2_000);
         let mut failures = 0;
         for t in 0..20 {
             let mut oracle = CachedOracle::from_labels(labels.clone(), 2_000);
             let mut rng = StdRng::seed_from_u64(9000 + t);
             let est = ImportanceRecall::new(SelectorConfig::default())
-                .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+                .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
                 .unwrap();
             if evaluate(&result_set(&data, &est), &labels).recall < 0.9 {
                 failures += 1;
@@ -157,6 +159,7 @@ mod tests {
         // Result quality for RT queries is precision: IS should return a
         // much smaller (higher-precision) set than U-CI at the same target.
         let (data, labels) = rare(50_000, 32);
+        let prepared = cold(&data);
         let query = ApproxQuery::recall_target(0.9, 0.05, 2_000);
         let mut is_prec = 0.0;
         let mut u_prec = 0.0;
@@ -167,10 +170,10 @@ mod tests {
             let mut r1 = StdRng::seed_from_u64(100 + t);
             let mut r2 = StdRng::seed_from_u64(100 + t);
             let is_est = ImportanceRecall::new(SelectorConfig::default())
-                .estimate(DataView::cold(&data), &query, &mut o1, &mut r1)
+                .estimate(DataView::prepared(&prepared), &query, &mut o1, &mut r1)
                 .unwrap();
             let u_est = super::super::UniformRecall::new(SelectorConfig::default())
-                .estimate(DataView::cold(&data), &query, &mut o2, &mut r2)
+                .estimate(DataView::prepared(&prepared), &query, &mut o2, &mut r2)
                 .unwrap();
             is_prec += evaluate(&result_set(&data, &is_est), &labels).precision;
             u_prec += evaluate(&result_set(&data, &u_est), &labels).precision;
@@ -184,13 +187,14 @@ mod tests {
     #[test]
     fn one_stage_precision_meets_target() {
         let (data, labels) = rare(50_000, 33);
+        let prepared = cold(&data);
         let query = ApproxQuery::precision_target(0.8, 0.05, 2_000);
         let mut failures = 0;
         for t in 0..20 {
             let mut oracle = CachedOracle::from_labels(labels.clone(), 2_000);
             let mut rng = StdRng::seed_from_u64(7000 + t);
             let est = ImportancePrecision::new(SelectorConfig::default())
-                .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+                .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
                 .unwrap();
             if evaluate(&result_set(&data, &est), &labels).precision < 0.8 {
                 failures += 1;
@@ -202,11 +206,12 @@ mod tests {
     #[test]
     fn budget_is_never_exceeded() {
         let (data, labels) = rare(10_000, 34);
+        let prepared = cold(&data);
         let query = ApproxQuery::recall_target(0.9, 0.05, 500);
         let mut oracle = CachedOracle::from_labels(labels, 500);
         let mut rng = StdRng::seed_from_u64(35);
         ImportanceRecall::new(SelectorConfig::default())
-            .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+            .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
             .unwrap();
         assert!(oracle.calls_used() <= 500);
     }

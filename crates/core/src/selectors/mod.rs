@@ -101,6 +101,13 @@ impl SelectorConfig {
     }
 }
 
+/// A fresh, unshared preparation of `data` — what a cold session runs
+/// over — for the selector unit tests.
+#[cfg(test)]
+pub(crate) fn cold(data: &crate::data::ScoredDataset) -> crate::prepared::PreparedDataset {
+    crate::prepared::PreparedDataset::new(data.clone())
+}
+
 /// A selector's output: the estimated threshold plus the labeled sample
 /// (whose positives become the `R1` part of the final result).
 #[derive(Debug, Clone)]

@@ -98,6 +98,7 @@ mod tests {
     use super::*;
     use crate::data::ScoredDataset;
     use crate::oracle::CachedOracle;
+    use crate::selectors::cold;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -111,11 +112,12 @@ mod tests {
     #[test]
     fn naive_recall_hits_empirical_target_on_separable_data() {
         let (data, labels) = separable(10_000);
+        let prepared = cold(&data);
         let mut oracle = CachedOracle::from_labels(labels, 1_000);
         let query = ApproxQuery::recall_target(0.9, 0.05, 1_000);
         let mut rng = StdRng::seed_from_u64(5);
         let est = UniformNoCiRecall
-            .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+            .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
             .unwrap();
         // Separable: true positives live in (0.5, 1]; a 90%-recall τ lands
         // near the 10th percentile of the positive range.
@@ -126,11 +128,12 @@ mod tests {
     #[test]
     fn naive_precision_picks_minimal_pure_threshold() {
         let (data, labels) = separable(10_000);
+        let prepared = cold(&data);
         let mut oracle = CachedOracle::from_labels(labels, 1_000);
         let query = ApproxQuery::precision_target(0.9, 0.05, 1_000);
         let mut rng = StdRng::seed_from_u64(6);
         let est = UniformNoCiPrecision
-            .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+            .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
             .unwrap();
         // Population precision at τ is 0.5/(1−τ), so the true minimal
         // 0.9-precision threshold is 1 − 0.5/0.9 ≈ 0.444 — naive lands
@@ -142,11 +145,12 @@ mod tests {
     fn naive_recall_with_no_positives_returns_everything() {
         let scores: Vec<f64> = (0..500).map(|i| i as f64 / 500.0).collect();
         let data = ScoredDataset::new(scores).unwrap();
+        let prepared = cold(&data);
         let mut oracle = CachedOracle::from_labels(vec![false; 500], 100);
         let query = ApproxQuery::recall_target(0.9, 0.05, 100);
         let mut rng = StdRng::seed_from_u64(7);
         let est = UniformNoCiRecall
-            .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+            .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
             .unwrap();
         assert_eq!(est.tau, 0.0);
     }
@@ -155,11 +159,12 @@ mod tests {
     fn naive_precision_unattainable_returns_infinity() {
         let scores: Vec<f64> = (0..500).map(|i| i as f64 / 500.0).collect();
         let data = ScoredDataset::new(scores).unwrap();
+        let prepared = cold(&data);
         let mut oracle = CachedOracle::from_labels(vec![false; 500], 100);
         let query = ApproxQuery::precision_target(0.9, 0.05, 100);
         let mut rng = StdRng::seed_from_u64(8);
         let est = UniformNoCiPrecision
-            .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+            .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
             .unwrap();
         assert_eq!(est.tau, f64::INFINITY);
     }

@@ -125,6 +125,7 @@ mod tests {
     use crate::data::ScoredDataset;
     use crate::metrics::evaluate;
     use crate::oracle::CachedOracle;
+    use crate::selectors::cold;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use supg_stats::dist::{Bernoulli, Beta};
@@ -153,13 +154,14 @@ mod tests {
     #[test]
     fn two_stage_meets_precision_target() {
         let (data, labels) = rare(50_000, 41);
+        let prepared = cold(&data);
         let query = ApproxQuery::precision_target(0.8, 0.05, 2_000);
         let mut failures = 0;
         for t in 0..20 {
             let mut oracle = CachedOracle::from_labels(labels.clone(), 2_000);
             let mut rng = StdRng::seed_from_u64(4100 + t);
             let est = TwoStagePrecision::new(SelectorConfig::default())
-                .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+                .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
                 .unwrap();
             if evaluate(&result_set(&data, &est), &labels).precision < 0.8 {
                 failures += 1;
@@ -173,6 +175,7 @@ mod tests {
         // The paper's Figure 7: two-stage matches or beats one-stage.
         // Averaged over a few trials to avoid flakiness.
         let (data, labels) = rare(50_000, 42);
+        let prepared = cold(&data);
         let query = ApproxQuery::precision_target(0.9, 0.05, 2_000);
         let trials = 5;
         let mut two_recall = 0.0;
@@ -183,10 +186,10 @@ mod tests {
             let mut r1 = StdRng::seed_from_u64(4200 + t);
             let mut r2 = StdRng::seed_from_u64(4200 + t);
             let two = TwoStagePrecision::new(SelectorConfig::default())
-                .estimate(DataView::cold(&data), &query, &mut o1, &mut r1)
+                .estimate(DataView::prepared(&prepared), &query, &mut o1, &mut r1)
                 .unwrap();
             let one = super::super::ImportancePrecision::new(SelectorConfig::default())
-                .estimate(DataView::cold(&data), &query, &mut o2, &mut r2)
+                .estimate(DataView::prepared(&prepared), &query, &mut o2, &mut r2)
                 .unwrap();
             two_recall += evaluate(&result_set(&data, &two), &labels).recall;
             one_recall += evaluate(&result_set(&data, &one), &labels).recall;
@@ -200,11 +203,12 @@ mod tests {
     #[test]
     fn budget_is_split_and_respected() {
         let (data, labels) = rare(20_000, 43);
+        let prepared = cold(&data);
         let query = ApproxQuery::precision_target(0.9, 0.05, 1_001);
         let mut oracle = CachedOracle::from_labels(labels, 1_001);
         let mut rng = StdRng::seed_from_u64(44);
         let est = TwoStagePrecision::new(SelectorConfig::default())
-            .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+            .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
             .unwrap();
         assert!(oracle.calls_used() <= 1_001);
         // Both stages' draws are surfaced.
@@ -215,12 +219,13 @@ mod tests {
     fn degenerate_all_negative_dataset() {
         let scores: Vec<f64> = (0..5_000).map(|i| i as f64 / 5_000.0).collect();
         let data = ScoredDataset::new(scores).unwrap();
+        let prepared = cold(&data);
         let labels = vec![false; 5_000];
         let query = ApproxQuery::precision_target(0.9, 0.05, 400);
         let mut oracle = CachedOracle::from_labels(labels, 400);
         let mut rng = StdRng::seed_from_u64(45);
         let est = TwoStagePrecision::new(SelectorConfig::default())
-            .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+            .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
             .unwrap();
         // Nothing is certifiable; the selector must fall back to ∞.
         assert_eq!(est.tau, f64::INFINITY);

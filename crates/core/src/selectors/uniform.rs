@@ -91,6 +91,7 @@ mod tests {
     use crate::data::ScoredDataset;
     use crate::metrics::evaluate;
     use crate::oracle::CachedOracle;
+    use crate::selectors::cold;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use supg_stats::dist::{Bernoulli, Beta};
@@ -112,11 +113,12 @@ mod tests {
 
     fn run_recall_trial(seed: u64) -> f64 {
         let (data, labels) = calibrated(20_000, 1234);
+        let prepared = cold(&data);
         let query = ApproxQuery::recall_target(0.9, 0.05, 2_000);
         let mut oracle = CachedOracle::from_labels(labels.clone(), 2_000);
         let mut rng = StdRng::seed_from_u64(seed);
         let est = UniformRecall::new(SelectorConfig::default())
-            .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+            .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
             .unwrap();
         // Recall of the full result (τ-selection ∪ labeled positives).
         let mut result: Vec<usize> = data.select(est.tau).iter().map(|&i| i as usize).collect();
@@ -141,13 +143,14 @@ mod tests {
     #[test]
     fn u_ci_p_meets_precision_target() {
         let (data, labels) = calibrated(20_000, 99);
+        let prepared = cold(&data);
         let query = ApproxQuery::precision_target(0.8, 0.05, 2_000);
         let mut failures = 0;
         for t in 0..20 {
             let mut oracle = CachedOracle::from_labels(labels.clone(), 2_000);
             let mut rng = StdRng::seed_from_u64(500 + t);
             let est = UniformPrecision::new(SelectorConfig::default())
-                .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+                .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
                 .unwrap();
             let mut result: Vec<usize> = data.select(est.tau).iter().map(|&i| i as usize).collect();
             result.extend(est.sample.positive_indices());
@@ -163,16 +166,17 @@ mod tests {
     #[test]
     fn u_ci_r_is_more_conservative_than_naive() {
         let (data, labels) = calibrated(20_000, 7);
+        let prepared = cold(&data);
         let query = ApproxQuery::recall_target(0.9, 0.05, 2_000);
         let mut o1 = CachedOracle::from_labels(labels.clone(), 2_000);
         let mut o2 = CachedOracle::from_labels(labels, 2_000);
         let mut rng1 = StdRng::seed_from_u64(11);
         let mut rng2 = StdRng::seed_from_u64(11);
         let guaranteed = UniformRecall::new(SelectorConfig::default())
-            .estimate(DataView::cold(&data), &query, &mut o1, &mut rng1)
+            .estimate(DataView::prepared(&prepared), &query, &mut o1, &mut rng1)
             .unwrap();
         let naive = super::super::UniformNoCiRecall
-            .estimate(DataView::cold(&data), &query, &mut o2, &mut rng2)
+            .estimate(DataView::prepared(&prepared), &query, &mut o2, &mut rng2)
             .unwrap();
         // Same sample (same seed stream) → the CI version must pick a τ no
         // larger than the empirical one.
@@ -182,11 +186,12 @@ mod tests {
     #[test]
     fn budget_is_respected_exactly() {
         let (data, labels) = calibrated(5_000, 3);
+        let prepared = cold(&data);
         let query = ApproxQuery::recall_target(0.9, 0.05, 300);
         let mut oracle = CachedOracle::from_labels(labels, 300);
         let mut rng = StdRng::seed_from_u64(21);
         UniformRecall::new(SelectorConfig::default())
-            .estimate(DataView::cold(&data), &query, &mut oracle, &mut rng)
+            .estimate(DataView::prepared(&prepared), &query, &mut oracle, &mut rng)
             .unwrap();
         assert!(oracle.calls_used() <= 300);
     }

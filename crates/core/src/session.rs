@@ -61,7 +61,7 @@ use crate::error::SupgError;
 use crate::executor::{ResultView, SelectionResult};
 use crate::oracle::{labeling_clock, BatchOracle, CachedOracle, Oracle};
 use crate::plan::{CalibrationProfile, Plan, PlanSignals, Planner};
-use crate::prepared::{DataView, PreparedDataset, QueryProbe, RecipeState, SamplerStrategy};
+use crate::prepared::{DataView, PreparedDataset, QueryProbe, SamplerStrategy};
 use crate::query::{ApproxQuery, JointQuery, TargetKind};
 use crate::runtime::RuntimeConfig;
 use crate::segment::{Corpus, SegmentedDataset};
@@ -272,10 +272,14 @@ pub struct QueryOutcome<R = SelectionResult> {
     pub candidates: usize,
     /// Whether the JT pipeline ran.
     pub joint: bool,
-    /// Wall-clock execution time (sampling + selection, excluding setup).
+    /// Wall-clock execution time of sampling + selection. Excludes
+    /// session setup, and stops before any owned-result materialization
+    /// ([`ViewOutcome::into_owned`]), which the wall time of a served
+    /// query includes — for a large warm result set that O(k) copy can
+    /// take as long as the query itself.
     pub elapsed: Duration,
-    /// Sampling-artifact requests this query served from a prepared
-    /// dataset's cache (0 for cold sessions — there is no cache to hit).
+    /// Sampling-artifact requests this query served from its dataset's
+    /// artifact cache.
     pub cache_hits: u64,
     /// Sampling-artifact requests this query paid a fresh build for.
     pub cache_misses: u64,
@@ -319,13 +323,12 @@ pub struct QueryOutcome<R = SelectionResult> {
 /// [`ResultView`] — what [`SupgSession::run_view`] returns.
 pub type ViewOutcome<'a> = QueryOutcome<ResultView<'a>>;
 
-impl ViewOutcome<'_> {
-    /// Materializes the borrowed result into the owned form, paying the
-    /// deferred O(k) copy — bit-identical to what
-    /// [`SupgSession::run`] would have returned for the same query.
-    pub fn into_owned(self) -> QueryOutcome {
+impl<R> QueryOutcome<R> {
+    /// The same outcome with its result mapped through `f` — every other
+    /// field carried over unchanged.
+    pub fn map_result<S>(self, f: impl FnOnce(R) -> S) -> QueryOutcome<S> {
         QueryOutcome {
-            result: self.result.to_result(),
+            result: f(self.result),
             tau: self.tau,
             selector: self.selector,
             oracle_calls: self.oracle_calls,
@@ -347,6 +350,15 @@ impl ViewOutcome<'_> {
             n_records: self.n_records,
             plan: self.plan,
         }
+    }
+}
+
+impl ViewOutcome<'_> {
+    /// Materializes the borrowed result into the owned form, paying the
+    /// deferred O(k) copy — bit-identical to what
+    /// [`SupgSession::run`] would have returned for the same query.
+    pub fn into_owned(self) -> QueryOutcome {
+        self.map_result(|r| r.to_result())
     }
 }
 
@@ -380,13 +392,20 @@ enum PlannerHandle<'a> {
 }
 
 impl<'a> SupgSession<'a> {
-    /// Starts a session over `data` with the paper defaults: `δ = 0.05`,
-    /// the SUPG selector family (IS-CI-R for recall targets, the
-    /// two-stage IS-CI-P for precision targets — see
+    /// Starts a cold session over `data` with the paper defaults:
+    /// `δ = 0.05`, the SUPG selector family (IS-CI-R for recall targets,
+    /// the two-stage IS-CI-P for precision targets — see
     /// [`SelectorKind::paper_family_default`]), seed [`DEFAULT_SEED`],
     /// no targets yet.
+    ///
+    /// The session wraps `data` in a [`PreparedDataset`] of its own that
+    /// no other session reuses (its clones share it), so the first query
+    /// pays the artifact build. The wrap is O(1): it shares the caller's
+    /// score buffer and rank index rather than copying or re-sorting.
     pub fn over(data: &'a ScoredDataset) -> Self {
-        Self::with_data(SessionData::Cold(data))
+        Self::with_data(SessionData::Shared(Arc::new(PreparedDataset::new(
+            data.clone(),
+        ))))
     }
 
     /// Starts a session over a [`SegmentedDataset`]. Queries produce
@@ -394,9 +413,13 @@ impl<'a> SupgSession<'a> {
     /// the concatenated scores with the same seed (under the default
     /// [`SamplerStrategy::Alias`](crate::prepared::SamplerStrategy) —
     /// pinned by `crates/core/tests/segmented_parity.rs`); only the
-    /// artifact layout and build parallelism differ.
+    /// artifact layout and build parallelism differ. Like
+    /// [`over`](SupgSession::over), the session owns a fresh
+    /// [`PreparedDataset`] that shares the caller's segments.
     pub fn over_segmented(data: &'a SegmentedDataset) -> Self {
-        Self::with_data(SessionData::Segmented(data))
+        Self::with_data(SessionData::Shared(Arc::new(
+            PreparedDataset::from_segmented(data.clone()),
+        )))
     }
 
     /// Starts a session over a [`PreparedDataset`], reusing its cached
@@ -405,7 +428,7 @@ impl<'a> SupgSession<'a> {
     /// [`over`](SupgSession::over) on the same data and seed; only the
     /// setup cost is amortized.
     pub fn over_prepared(prepared: &'a PreparedDataset) -> Self {
-        Self::with_data(SessionData::Prepared(prepared))
+        Self::with_data(SessionData::Borrowed(prepared))
     }
 
     /// Starts a session that *owns* a shared handle to a
@@ -432,14 +455,17 @@ impl<'a> SupgSession<'a> {
         }
     }
 
-    /// The view selectors run against (dataset + optional artifact cache).
-    fn view(&self) -> DataView<'_> {
+    /// The prepared dataset this session runs over.
+    fn prepared(&self) -> &PreparedDataset {
         match &self.data {
-            SessionData::Cold(data) => DataView::cold(data),
-            SessionData::Segmented(seg) => DataView::cold_segmented(seg),
-            SessionData::Prepared(prepared) => DataView::prepared(prepared),
-            SessionData::Shared(prepared) => DataView::prepared(prepared),
+            SessionData::Borrowed(prepared) => prepared,
+            SessionData::Shared(prepared) => prepared,
         }
+    }
+
+    /// The view selectors run against.
+    fn view(&self) -> DataView<'_> {
+        DataView::prepared(self.prepared())
     }
 
     /// Sets a recall target `γ_r` (an RT query, or half of a JT query).
@@ -583,28 +609,14 @@ impl<'a> SupgSession<'a> {
     /// pure input [`Plan::resolve`] consumes.
     fn signals(&self, planner: &Planner) -> PlanSignals {
         let cal = CalibrationProfile::measured();
-        let (prepared, recipe) = match &self.data {
-            SessionData::Prepared(p) => (
-                true,
-                p.recipe_state(self.config.weight_exponent, self.config.uniform_mix),
-            ),
-            SessionData::Shared(p) => (
-                true,
-                p.recipe_state(self.config.weight_exponent, self.config.uniform_mix),
-            ),
-            SessionData::Cold(_) | SessionData::Segmented(_) => (false, RecipeState::Cold),
-        };
-        let (n, segments) = match &self.data {
-            SessionData::Cold(d) => (d.len(), 0),
-            SessionData::Segmented(s) => (s.len(), s.num_segments()),
-            SessionData::Prepared(p) => (p.len(), corpus_segments(p.corpus())),
-            SessionData::Shared(p) => (p.len(), corpus_segments(p.corpus())),
-        };
+        let prepared = self.prepared();
         PlanSignals {
-            n,
-            segments,
-            prepared,
-            recipe,
+            n: prepared.len(),
+            segments: match prepared.corpus() {
+                Corpus::Flat(_) => 0,
+                Corpus::Segmented(s) => s.num_segments(),
+            },
+            recipe: prepared.recipe_state(self.config.weight_exponent, self.config.uniform_mix),
             requested_sampler: self.config.sampler,
             pinned_runtime: self.runtime,
             oracle_ns_per_call: planner.oracle_ns_per_call(),
@@ -891,23 +903,13 @@ impl<'a> SupgSession<'a> {
     }
 }
 
-/// The dataset a session runs over: a plain borrow (cold, per-query
-/// artifact construction) — flat or segmented — a borrowed prepared
-/// dataset, or an owned shared handle to one (concurrent serving).
+/// The prepared dataset a session runs over: borrowed, or an owned
+/// shared handle (concurrent serving, and a cold session's own fresh
+/// one).
 #[derive(Debug, Clone)]
 enum SessionData<'a> {
-    Cold(&'a ScoredDataset),
-    Segmented(&'a SegmentedDataset),
-    Prepared(&'a PreparedDataset),
+    Borrowed(&'a PreparedDataset),
     Shared(Arc<PreparedDataset>),
-}
-
-/// Segment count of a corpus (0 = flat) — a planner signal.
-fn corpus_segments(corpus: Corpus<'_>) -> usize {
-    match corpus {
-        Corpus::Flat(_) => 0,
-        Corpus::Segmented(s) => s.num_segments(),
-    }
 }
 
 enum Mode {
@@ -1021,7 +1023,6 @@ fn exec_joint_stages<'v>(
     oracle.set_budget(calls_before.saturating_add(rt_query.budget()));
     let stage = exec_single_view(view, rt_query, rt_selector, oracle, rng)?;
     let stage_calls = oracle.calls_used() - calls_before;
-    let stage_elapsed = stage.elapsed;
 
     // The candidate set is already a rank-range (the stage result is the
     // τ rank-prefix plus its labeled positives), and the stage returned a
@@ -1049,26 +1050,18 @@ fn exec_joint_stages<'v>(
 
     Ok(QueryOutcome {
         result,
-        tau: stage.tau,
-        selector: stage.selector,
         oracle_calls: stage_calls + filter_calls,
         stage_calls,
         filter_calls,
-        sample_draws: stage.sample_draws,
-        sample_positives: stage.sample_positives,
-        candidates: stage.candidates,
         joint: true,
         elapsed: start.elapsed(),
-        cache_hits: stage.cache_hits,
-        cache_misses: stage.cache_misses,
-        stage_elapsed,
+        stage_elapsed: stage.elapsed,
         filter_elapsed,
         oracle_elapsed,
         oracle_retries: retry.retries,
         oracle_failures: retry.failures,
         retry_backoff: retry.backoff,
-        n_records: stage.n_records,
-        plan: None,
+        ..stage
     })
 }
 
@@ -1156,6 +1149,28 @@ mod tests {
             .unwrap();
         assert!(jt.oracle_elapsed > Duration::ZERO);
         assert!(jt.oracle_elapsed <= jt.elapsed);
+    }
+
+    #[test]
+    fn cold_sessions_share_the_callers_scores_and_rank_index() {
+        let (data, labels) = separable(5_000);
+        let sessions = [
+            SupgSession::over(&data).recall(0.9).budget(300),
+            SupgSession::over(&data).recall(0.9).budget(300),
+        ];
+        for session in &sessions {
+            let mut oracle = CachedOracle::from_labels(labels.clone(), 300);
+            session.run(&mut oracle).unwrap();
+        }
+        // Whichever handle sorted first, every handle sees that one index.
+        let index = data.share_rank_index();
+        for session in &sessions {
+            let Corpus::Flat(own) = session.prepared().corpus() else {
+                panic!("a flat session wraps a flat corpus");
+            };
+            assert_eq!(own.scores().as_ptr(), data.scores().as_ptr());
+            assert!(Arc::ptr_eq(&own.share_rank_index(), &index));
+        }
     }
 
     #[test]

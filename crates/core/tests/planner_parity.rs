@@ -25,7 +25,6 @@ use supg_core::{
 fn recipe_strategy() -> impl Strategy<Value = RecipeState> {
     prop_oneof![
         Just(RecipeState::Cold),
-        Just(RecipeState::SeenOnce),
         Just(RecipeState::WarmCdf),
         Just(RecipeState::WarmAlias),
     ]
@@ -44,7 +43,6 @@ fn signals_strategy() -> impl Strategy<Value = PlanSignals> {
         (
             0usize..(MIN_PARALLEL_INPUT * 4),
             0usize..8,
-            any::<bool>(),
             recipe_strategy(),
             sampler_strategy(),
         ),
@@ -59,13 +57,12 @@ fn signals_strategy() -> impl Strategy<Value = PlanSignals> {
     )
         .prop_map(
             |(
-                (n, segments, prepared, recipe, requested_sampler),
+                (n, segments, recipe, requested_sampler),
                 (pinned_par, oracle_ns, cores, speedup, pin_sampler, forbid_cdf),
             )| {
                 PlanSignals {
                     n,
                     segments,
-                    prepared,
                     recipe,
                     requested_sampler,
                     pinned_runtime: pinned_par

@@ -11,7 +11,9 @@
 //!    result = `D(τ) ∪ R1`, duplicate-free).
 //! 2. **Auto transitions.** `SamplerStrategy::Auto` must serve the exact
 //!    CDF outcome while a recipe is cold and the exact alias outcome once
-//!    it recurs (or was warmed).
+//!    it recurs (or was warmed) — and, from every reachable recipe state,
+//!    an unplanned `Auto` query must equal a planned one: the planner's
+//!    table is the only promotion policy.
 //! 3. **Alias-build determinism.** The chunk-partitioned Vose feed build
 //!    must produce bit-identical tables at every parallelism and explicit
 //!    chunk count — mirroring `rank_parity.rs`'s build-determinism cases.
@@ -24,9 +26,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use supg_core::rank::RankIndex;
+use supg_core::selectors::SelectorConfig;
 use supg_core::{
-    CachedOracle, PreparedDataset, QueryOutcome, ResultView, RuntimeConfig, SamplerStrategy,
-    ScoredDataset, SelectionResult, SelectorKind, SupgSession, WeightArtifacts,
+    CachedOracle, Planner, PreparedDataset, QueryOutcome, RecipeState, ResultView, RuntimeConfig,
+    SamplerStrategy, ScoredDataset, SelectionResult, SelectorKind, SupgSession, WeightArtifacts,
 };
 
 fn rare(n: usize, seed: u64) -> (ScoredDataset, Vec<bool>) {
@@ -176,8 +179,8 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
     );
     assert_outcomes_identical(&auto_cold, &cdf_cold, "cold Auto ≡ Cdf");
 
-    // Prepared: first request = CDF one-shot (nothing cached), second
-    // request promotes the recipe to the cached alias table.
+    // Prepared: the first request builds and caches the CDF, the second
+    // promotes the recipe to the cached alias table.
     let prepared = PreparedDataset::new(data.clone());
     let q1 = run_strategy(
         SupgSession::over_prepared(&prepared),
@@ -187,7 +190,7 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
         5,
     );
     assert_outcomes_identical(&q1, &cdf_cold, "prepared Auto first query ≡ Cdf");
-    assert_eq!(prepared.cached_recipes(), 0, "one-shot CDF is not cached");
+    assert_eq!(prepared.cached_recipes(), 1, "the first CDF is cached");
 
     let alias_ref = run_strategy(
         SupgSession::over(&data),
@@ -204,7 +207,7 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
         5,
     );
     assert_outcomes_identical(&q2, &alias_ref, "prepared Auto second query ≡ Alias");
-    assert_eq!(prepared.cached_recipes(), 1, "promotion cached the alias");
+    assert_eq!(prepared.cached_recipes(), 2, "promotion cached the alias");
     let q3 = run_strategy(
         SupgSession::over_prepared(&prepared),
         &labels,
@@ -213,7 +216,7 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
         5,
     );
     assert_outcomes_identical(&q3, &alias_ref, "prepared Auto steady state");
-    assert_eq!(prepared.cached_recipes(), 1);
+    assert_eq!(prepared.cached_recipes(), 2);
 }
 
 #[test]
@@ -236,6 +239,65 @@ fn warming_promotes_auto_to_alias_immediately() {
         8,
     );
     assert_outcomes_identical(&warmed, &alias_ref, "warmed Auto ≡ Alias");
+}
+
+#[test]
+fn unplanned_auto_matches_planned_auto_from_every_recipe_state() {
+    let (data, labels) = rare(12_000, 77);
+    let cfg = SelectorConfig::default();
+    let (exponent, mix) = (cfg.weight_exponent, cfg.uniform_mix);
+    // Each arm gets its own dataset, brought to the state under test.
+    let reach = |state: RecipeState| {
+        let prepared = PreparedDataset::new(data.clone());
+        if state == RecipeState::WarmCdf {
+            // One CDF-pinned query caches the recipe's CDF.
+            run_strategy(
+                SupgSession::over_prepared(&prepared),
+                &labels,
+                500,
+                SamplerStrategy::Cdf,
+                1,
+            );
+        } else if state == RecipeState::WarmAlias {
+            prepared.warm(&cfg);
+        }
+        assert_eq!(prepared.recipe_state(exponent, mix), state);
+        prepared
+    };
+    for state in [
+        RecipeState::Cold,
+        RecipeState::WarmCdf,
+        RecipeState::WarmAlias,
+    ] {
+        let (unplanned_data, planned_data) = (reach(state), reach(state));
+        let unplanned = run_strategy(
+            SupgSession::over_prepared(&unplanned_data),
+            &labels,
+            500,
+            SamplerStrategy::Auto,
+            9,
+        );
+        let planner = Planner::new();
+        let planned = run_strategy(
+            SupgSession::over_prepared(&planned_data).planned(&planner),
+            &labels,
+            500,
+            SamplerStrategy::Auto,
+            9,
+        );
+        let context = format!("{state:?}: unplanned Auto vs planned Auto");
+        assert_outcomes_identical(&unplanned, &planned, &context);
+        assert_eq!(
+            (unplanned.cache_hits, unplanned.cache_misses),
+            (planned.cache_hits, planned.cache_misses),
+            "{context}: cache accounting"
+        );
+        assert_eq!(
+            unplanned_data.recipe_state(exponent, mix),
+            planned_data.recipe_state(exponent, mix),
+            "{context}: resulting cache state"
+        );
+    }
 }
 
 #[test]

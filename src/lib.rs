@@ -117,8 +117,8 @@
 //! assert_eq!(prepared.cached_recipes(), 1); // one build, four queries
 //! ```
 //!
-//! Outcomes are identical to cold sessions on the same seed; see the
-//! "Performance & serving" section of [`core`] for the measured numbers.
+//! A cold session (`SupgSession::over`) runs this same code over a private,
+//! O(1)-wrapped `PreparedDataset`, so its outcomes are identical (see [`core`]).
 //!
 //! ## Cold starts: the first query on a fresh corpus
 //!
