@@ -9,7 +9,8 @@
 //!                         # touching the file) when any recorded speedup
 //!                         # ratio — threshold search, recall sweep, set
 //!                         # materialization, cold build, cold-path alias
-//!                         # build and CDF-vs-alias cold one-shot —
+//!                         # build, CDF-vs-alias cold one-shot and
+//!                         # oracle-stack efficiency —
 //!                         # regressed > 2× vs the committed baseline
 //!                         # (ratio-based, machine-independent), or the
 //!                         # traffic simulator's same-seed replay is not
@@ -86,6 +87,16 @@ fn main() -> ExitCode {
         report.resilience.retried_ns_per_query / 1e6,
         report.resilience.overhead(),
         report.resilience.retries,
+    );
+    eprintln!(
+        "oracle stacks: JT {:.1}ns vs raw {:.2}ns per label → efficiency {:.3}; \
+         batch-native {:.1}ns vs raw {:.2}ns per label → efficiency {:.3}",
+        report.oracle.jt_stack_ns_per_label,
+        report.oracle.jt_raw_ns_per_label,
+        report.oracle.jt_efficiency(),
+        report.oracle.batch_stack_ns_per_label,
+        report.oracle.batch_raw_ns_per_label,
+        report.oracle.batch_efficiency(),
     );
     eprintln!(
         "serving saturation ({} cores): qps 1 client {:.0}, 4 clients {:.0} → {:.2}× \
@@ -200,6 +211,21 @@ fn main() -> ExitCode {
                 "segmented",
                 "search_speedup",
                 report.segmented.search_speedup(),
+                false,
+            ),
+            // Oracle-stack efficiency (raw label / labeled through the
+            // stack): a halved ratio means the stack's bookkeeping per
+            // label more than doubled relative to the label itself.
+            (
+                "oracle",
+                "jt_efficiency",
+                report.oracle.jt_efficiency(),
+                false,
+            ),
+            (
+                "oracle",
+                "batch_efficiency",
+                report.oracle.batch_efficiency(),
                 false,
             ),
             // Concurrent-serving scaling, normalized by min(4, cores) so

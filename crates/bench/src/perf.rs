@@ -17,9 +17,9 @@ use supg_core::rank::{materialize_linear, RankIndex};
 use supg_core::selectors::reference::{precision_threshold_naive, recall_threshold_naive};
 use supg_core::selectors::{precision_threshold, recall_threshold, SelectorConfig};
 use supg_core::{
-    CachedOracle, FaultPlan, FaultyOracle, OracleSample, Planner, PreparedDataset, ResilientOracle,
-    RetryPolicy, RuntimeConfig, SamplerStrategy, ScoredDataset, SegmentedDataset, SelectorKind,
-    SupgSession, WeightArtifacts,
+    BatchOracle, CachedOracle, FaultPlan, FaultyOracle, OracleSample, Planner, PreparedDataset,
+    ResilientOracle, RetryPolicy, RuntimeConfig, SamplerStrategy, ScoredDataset, SegmentedDataset,
+    SelectorKind, SupgSession, WeightArtifacts,
 };
 use supg_datasets::BetaDataset;
 use supg_sampling::{CdfSampler, ImportanceWeights};
@@ -130,6 +130,50 @@ impl ResilienceNumbers {
     /// transient fault rate (wrapper + re-labeling + bookkeeping).
     pub fn overhead(&self) -> f64 {
         self.retried_ns_per_query / self.fault_free_ns_per_query.max(1.0)
+    }
+}
+
+/// Oracle-stack bookkeeping cost: ns per distinct label through two
+/// labeling stacks, each against the raw label closure over the same
+/// indices. The `raw / stack` efficiency ratios are within-run, so they
+/// transfer across machines; 1.0 would mean the stack costs nothing on
+/// top of the label.
+#[derive(Debug, Clone, Copy)]
+pub struct OracleNumbers {
+    /// Corpus size of the JT stack.
+    pub jt_n: usize,
+    /// Distinct records the JT stack labels per run.
+    pub jt_records: usize,
+    /// Injected transient-fault rate of the JT stack.
+    pub jt_transient_rate: f64,
+    /// Median raw-closure ns per label over the JT indices.
+    pub jt_raw_ns_per_label: f64,
+    /// Median ns per distinct label through
+    /// `ResilientOracle(FaultyOracle(CachedOracle))`.
+    pub jt_stack_ns_per_label: f64,
+    /// Corpus size of the batch-native arm.
+    pub batch_n: usize,
+    /// Oracle budget (= distinct records labeled) per batch.
+    pub batch_budget: usize,
+    /// Fresh oracles labeled per timed run, so the raw reference sits
+    /// well above timer resolution.
+    pub batch_reps: usize,
+    /// Median raw-closure ns per label over the batch indices.
+    pub batch_raw_ns_per_label: f64,
+    /// Median ns per distinct label through the batch-native
+    /// [`CachedOracle`].
+    pub batch_stack_ns_per_label: f64,
+}
+
+impl OracleNumbers {
+    /// `raw / stack` on the JT stack (higher is better).
+    pub fn jt_efficiency(&self) -> f64 {
+        self.jt_raw_ns_per_label / self.jt_stack_ns_per_label.max(1e-9)
+    }
+
+    /// `raw / stack` on the batch-native stack (higher is better).
+    pub fn batch_efficiency(&self) -> f64 {
+        self.batch_raw_ns_per_label / self.batch_stack_ns_per_label.max(1e-9)
     }
 }
 
@@ -411,6 +455,8 @@ pub struct BenchReport {
     pub serving: ServingNumbers,
     /// Retry-runtime overhead on warm serving.
     pub resilience: ResilienceNumbers,
+    /// Oracle-stack bookkeeping cost per distinct label.
+    pub oracle: OracleNumbers,
     /// Multi-client saturation curve through the `supg-serve` server.
     pub saturation: SaturationNumbers,
     /// Rank-index vs linear-scan set materialization.
@@ -480,6 +526,7 @@ pub fn run_suite(quick: bool) -> BenchReport {
 
     let serving = measure_serving(if quick { 8 } else { 32 });
     let resilience = measure_resilience(if quick { 8 } else { 32 });
+    let oracle = measure_oracle(if quick { 9 } else { 31 });
     let saturation = measure_saturation(quick);
     let materialization = measure_materialization(if quick { 10 } else { 40 });
     let cold_build = measure_cold_build(if quick { 3 } else { 7 });
@@ -496,6 +543,7 @@ pub fn run_suite(quick: bool) -> BenchReport {
         assembly_ns,
         serving,
         resilience,
+        oracle,
         saturation,
         materialization,
         cold_build,
@@ -1194,6 +1242,91 @@ fn measure_resilience(queries: usize) -> ResilienceNumbers {
     }
 }
 
+/// Oracle-stack bookkeeping per distinct label, against the raw label
+/// closure over the same indices. Two stacks:
+///
+/// * the JT filter's stack, `ResilientOracle(FaultyOracle(CachedOracle))`
+///   at 1% transients, labeling 32k distinct records of 200k one at a
+///   time (the fault harness has no batch-native path);
+/// * the batch-native [`CachedOracle`] at budget 1,000 over 1M records,
+///   the warm sampling stage's shape, repeated over fresh oracles until
+///   the raw reference is well above timer resolution.
+///
+/// Stacks are built outside the timed region, so the timings cover
+/// labeling plus bookkeeping only. Arms alternate within one loop so
+/// ambient machine noise hits all medians alike.
+fn measure_oracle(iters: usize) -> OracleNumbers {
+    let jt_n = 200_000;
+    let jt_records = 32_000;
+    let jt_transient_rate = 0.01;
+    let batch_n = 1_000_000;
+    let batch_budget = 1_000;
+    let batch_reps = 200;
+    let (_, jt_labels) = serving_workload(jt_n);
+    let (_, batch_labels) = serving_workload(batch_n);
+    // Strides coprime to the corpus sizes: distinct, scattered records.
+    let jt_indices: Vec<usize> = (0..jt_records).map(|i| (i * 6_151) % jt_n).collect();
+    let batch_indices: Vec<usize> = (0..batch_budget).map(|i| (i * 7_919) % batch_n).collect();
+
+    let raw = |labels: &Arc<Vec<bool>>, indices: &[usize], reps: usize| {
+        let label = |i: usize| labels[i];
+        let start = Instant::now();
+        for _ in 0..reps {
+            let out: Vec<bool> = indices.iter().map(|&i| label(i)).collect();
+            std::hint::black_box(out);
+        }
+        start.elapsed().as_nanos() as f64 / (reps * indices.len()) as f64
+    };
+    let source = |labels: &Arc<Vec<bool>>, budget: usize| {
+        let l = Arc::clone(labels);
+        CachedOracle::parallel(l.len(), budget, move |i| l[i])
+    };
+
+    let mut jt_raw = Vec::with_capacity(iters);
+    let mut jt_stack = Vec::with_capacity(iters);
+    let mut batch_raw = Vec::with_capacity(iters);
+    let mut batch_stack = Vec::with_capacity(iters);
+    for it in 0..iters {
+        jt_raw.push(raw(&jt_labels, &jt_indices, 1));
+        let plan = FaultPlan::new(0x0_FA17 ^ it as u64).with_transient_rate(jt_transient_rate);
+        let mut stack = ResilientOracle::new(
+            FaultyOracle::new(source(&jt_labels, jt_n), plan),
+            RetryPolicy::default(),
+        );
+        let start = Instant::now();
+        let labels = stack.label_batch(&jt_indices).expect("JT stack labels");
+        jt_stack.push(start.elapsed().as_nanos() as f64 / jt_records as f64);
+        std::hint::black_box(labels);
+
+        batch_raw.push(raw(&batch_labels, &batch_indices, batch_reps));
+        let mut oracles: Vec<CachedOracle> = (0..batch_reps)
+            .map(|_| source(&batch_labels, batch_budget))
+            .collect();
+        let start = Instant::now();
+        for oracle in &mut oracles {
+            let labels = oracle.label_batch(&batch_indices).expect("batch labels");
+            std::hint::black_box(labels);
+        }
+        batch_stack.push(start.elapsed().as_nanos() as f64 / (batch_reps * batch_budget) as f64);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        v[v.len() / 2]
+    };
+    OracleNumbers {
+        jt_n,
+        jt_records,
+        jt_transient_rate,
+        jt_raw_ns_per_label: median(jt_raw),
+        jt_stack_ns_per_label: median(jt_stack),
+        batch_n,
+        batch_budget,
+        batch_reps,
+        batch_raw_ns_per_label: median(batch_raw),
+        batch_stack_ns_per_label: median(batch_stack),
+    }
+}
+
 /// Nearest-rank percentile of an ascending latency sample: the smallest
 /// element with at least `p·len` of the sample at or below it — rank
 /// `⌈p·len⌉`, i.e. index `⌈p·len⌉ − 1`, clamped into range. The previous
@@ -1336,7 +1469,7 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"supg-bench/8\",");
+        let _ = writeln!(out, "  \"schema\": \"supg-bench/9\",");
         let _ = writeln!(out, "  \"threshold_search\": {{");
         let _ = writeln!(out, "    \"s\": {},", self.s);
         let _ = writeln!(out, "    \"step\": {},", self.step);
@@ -1403,6 +1536,41 @@ impl BenchReport {
         );
         let _ = writeln!(out, "    \"retries\": {},", self.resilience.retries);
         let _ = writeln!(out, "    \"overhead\": {:.3}", self.resilience.overhead());
+        let _ = writeln!(out, "  }},");
+        let o = &self.oracle;
+        let _ = writeln!(out, "  \"oracle\": {{");
+        let _ = writeln!(out, "    \"jt_n\": {},", o.jt_n);
+        let _ = writeln!(out, "    \"jt_records\": {},", o.jt_records);
+        let _ = writeln!(
+            out,
+            "    \"jt_transient_rate\": {:.3},",
+            o.jt_transient_rate
+        );
+        let _ = writeln!(
+            out,
+            "    \"jt_raw_ns_per_label\": {:.2},",
+            o.jt_raw_ns_per_label
+        );
+        let _ = writeln!(
+            out,
+            "    \"jt_stack_ns_per_label\": {:.2},",
+            o.jt_stack_ns_per_label
+        );
+        let _ = writeln!(out, "    \"jt_efficiency\": {:.4},", o.jt_efficiency());
+        let _ = writeln!(out, "    \"batch_n\": {},", o.batch_n);
+        let _ = writeln!(out, "    \"batch_budget\": {},", o.batch_budget);
+        let _ = writeln!(out, "    \"batch_reps\": {},", o.batch_reps);
+        let _ = writeln!(
+            out,
+            "    \"batch_raw_ns_per_label\": {:.2},",
+            o.batch_raw_ns_per_label
+        );
+        let _ = writeln!(
+            out,
+            "    \"batch_stack_ns_per_label\": {:.2},",
+            o.batch_stack_ns_per_label
+        );
+        let _ = writeln!(out, "    \"batch_efficiency\": {:.4}", o.batch_efficiency());
         let _ = writeln!(out, "  }},");
         let _ = writeln!(out, "  \"materialization\": {{");
         let _ = writeln!(out, "    \"n\": {},", self.materialization.n);
@@ -1658,6 +1826,18 @@ mod tests {
                 retried_ns_per_query: 1.25e6,
                 retries: 80,
             },
+            oracle: OracleNumbers {
+                jt_n: 200_000,
+                jt_records: 32_000,
+                jt_transient_rate: 0.01,
+                jt_raw_ns_per_label: 2.0,
+                jt_stack_ns_per_label: 50.0,
+                batch_n: 1_000_000,
+                batch_budget: 1_000,
+                batch_reps: 200,
+                batch_raw_ns_per_label: 1.5,
+                batch_stack_ns_per_label: 60.0,
+            },
             saturation: SaturationNumbers {
                 n: 1_000_000,
                 budget: 1_000,
@@ -1774,6 +1954,15 @@ mod tests {
         );
         assert_eq!(extract_number(&json, "resilience", "retries"), Some(80.0));
         assert_eq!(extract_number(&json, "resilience", "overhead"), Some(1.25));
+        assert_eq!(
+            extract_number(&json, "oracle", "jt_records"),
+            Some(32_000.0)
+        );
+        assert_eq!(extract_number(&json, "oracle", "jt_efficiency"), Some(0.04));
+        assert_eq!(
+            extract_number(&json, "oracle", "batch_efficiency"),
+            Some(0.025)
+        );
         assert_eq!(
             extract_number(&json, "materialization", "speedup"),
             Some(50.0)

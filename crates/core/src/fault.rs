@@ -35,11 +35,10 @@
 //! timing-independent; opt into real sleeping with
 //! [`RetryPolicy::with_sleep`] for wall-clock-faithful deployments.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use crate::error::SupgError;
-use crate::oracle::Oracle;
+use crate::oracle::{IndexMap, Oracle};
 use crate::runtime::{split_seed, split_unit, RuntimeConfig};
 use crate::session::SessionOracle;
 
@@ -192,11 +191,18 @@ impl FaultPlan {
 /// counters — and therefore the fault schedule — identical at every
 /// `parallelism`/`batch_size`. This is a test/chaos harness, not a
 /// throughput path.
+///
+/// Only faulted records are tracked: the plan's decision is evaluated
+/// first, and a [`FaultDecision::Clean`] record goes straight to the inner
+/// oracle without touching the attempt map (its attempt count is never
+/// observable), so the bookkeeping scales with the faulted share of the
+/// records, not with every record labeled.
 #[derive(Debug)]
 pub struct FaultyOracle<O> {
     inner: O,
     plan: FaultPlan,
-    attempts: HashMap<usize, u32>,
+    /// Attempts so far, per faulted (transient or permanent) record.
+    attempts: IndexMap<usize, u32>,
     injected_transients: u64,
     injected_permanents: u64,
     simulated_latency: Duration,
@@ -208,7 +214,7 @@ impl<O: Oracle> FaultyOracle<O> {
         Self {
             inner,
             plan,
-            attempts: HashMap::new(),
+            attempts: IndexMap::default(),
             injected_transients: 0,
             injected_permanents: 0,
             simulated_latency: Duration::ZERO,
@@ -243,11 +249,15 @@ impl<O: Oracle> FaultyOracle<O> {
 
 impl<O: Oracle> Oracle for FaultyOracle<O> {
     fn label(&mut self, index: usize) -> Result<bool, SupgError> {
+        self.simulated_latency += self.plan.latency;
+        let decision = self.plan.decision(index);
+        if decision == FaultDecision::Clean {
+            return self.inner.label(index);
+        }
         let attempt = self.attempts.entry(index).or_insert(0);
         *attempt += 1;
         let attempt = *attempt;
-        self.simulated_latency += self.plan.latency;
-        match self.plan.decision(index) {
+        match decision {
             FaultDecision::Permanent => {
                 self.injected_permanents += 1;
                 Err(SupgError::OracleFailed {
@@ -522,7 +532,7 @@ impl<O: Oracle> Oracle for ResilientOracle<O> {
         // documented partial-failure contract guarantees every record
         // before the failing position is already cached, so the re-issue
         // costs cache hits plus the one failing record.
-        let mut attempts: HashMap<usize, u32> = HashMap::new();
+        let mut attempts: IndexMap<usize, u32> = IndexMap::default();
         loop {
             if let Err(e) = self.check_deadline() {
                 return Some(Err(e));
@@ -653,6 +663,83 @@ mod tests {
         }
         assert_eq!(o.calls_used(), 0);
         assert_eq!(o.injected_permanents(), 3);
+    }
+
+    #[test]
+    fn clean_labels_leave_fault_accounting_untouched() {
+        let plan = FaultPlan::new(77)
+            .with_transient_rate(0.2)
+            .with_permanent_rate(0.1)
+            .with_max_transients(3)
+            .with_latency(Duration::from_millis(1));
+        let find = |pred: &dyn Fn(FaultDecision) -> bool| {
+            (0..500)
+                .find(|&i| pred(plan.decision(i)))
+                .expect("plan covers every decision")
+        };
+        let clean = find(&|d| d == FaultDecision::Clean);
+        let transient = find(&|d| matches!(d, FaultDecision::Transient { count } if count >= 2));
+        let FaultDecision::Transient { count } = plan.decision(transient) else {
+            unreachable!()
+        };
+        let permanent = find(&|d| d == FaultDecision::Permanent);
+        let mut o = FaultyOracle::new(CachedOracle::from_labels(vec![true; 500], 500), plan);
+
+        // A clean record labels on every call, bills once, injects nothing.
+        for _ in 0..50 {
+            assert!(o.label(clean).unwrap());
+        }
+        assert_eq!(o.calls_used(), 1);
+        assert_eq!((o.injected_transients(), o.injected_permanents()), (0, 0));
+
+        // The transient record fails exactly `count` times, numbering its
+        // attempts from 1 whatever was labeled before it.
+        for attempt in 1..=count {
+            assert_eq!(
+                o.label(transient).unwrap_err(),
+                SupgError::OracleTransient {
+                    index: transient,
+                    cause: format!("injected transient {attempt}/{count}"),
+                }
+            );
+        }
+        assert!(o.label(transient).unwrap());
+        assert_eq!(o.injected_transients(), u64::from(count));
+
+        // The permanent record carries its own attempt count.
+        for attempt in 1..=3u32 {
+            assert_eq!(
+                o.label(permanent).unwrap_err(),
+                SupgError::OracleFailed {
+                    index: permanent,
+                    attempts: attempt
+                }
+            );
+        }
+        assert_eq!(o.injected_permanents(), 3);
+        assert_eq!(o.calls_used(), 2);
+        // Every attempt, clean ones included, accrues simulated latency.
+        let attempts = 50 + count + 1 + 3;
+        assert_eq!(
+            o.simulated_latency(),
+            Duration::from_millis(u64::from(attempts))
+        );
+
+        // Through the retry wrapper: the permanent record fails on its
+        // next attempt (the fourth), and the transient record is cached.
+        let mut r = ResilientOracle::new(o, RetryPolicy::default());
+        assert_eq!(
+            r.label(permanent).unwrap_err(),
+            SupgError::OracleFailed {
+                index: permanent,
+                attempts: 4
+            }
+        );
+        assert!(r.label(transient).unwrap());
+        assert!(r.label(clean).unwrap());
+        assert_eq!(r.stats(), RetryStats::default());
+        assert_eq!(r.inner().injected_transients(), u64::from(count));
+        assert_eq!(r.inner().injected_permanents(), 4);
     }
 
     #[test]

@@ -254,14 +254,17 @@
 //! longest serial pole in the cold path, and every byte of it must be
 //! resident before the first query. A [`SegmentedDataset`]
 //! ([`segment`]) splits the score column into fixed-size segments,
-//! each owning its *own* rank index and its own slice of the sampling
-//! artifacts:
+//! each owning its *own* rank index and its own slice of the weight and
+//! CDF artifacts:
 //!
-//! * **Fully parallel construction, no re-merge.** Per-segment rank
-//!   indexes and weight/CDF/alias artifact slices build independently on
-//!   the worker pool ([`SegmentedDataset::prepare`],
+//! * **Parallel construction, no re-merge.** Per-segment rank indexes
+//!   and weight/CDF artifact slices build independently on the worker
+//!   pool ([`SegmentedDataset::prepare`],
 //!   [`PreparedDataset::from_segmented`](prepared::PreparedDataset::from_segmented));
-//!   there is no final merge pass over n records.
+//!   there is no final merge pass over n records. The alias table is the
+//!   one exception: Vose's pairing loop is serial and touches arbitrary
+//!   slots, so a segmented corpus builds one flat table over its
+//!   segments' probabilities, bit-identical to the flat build.
 //! * **Threshold search as a k-way merge.** `{x : A(x) ≥ τ}` is found
 //!   per segment by binary search and stitched across segment heads in
 //!   canonical global rank order

@@ -21,19 +21,65 @@
 //! [`crate::runtime`] worker pool under the session's
 //! [`RuntimeConfig`](crate::runtime::RuntimeConfig).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::error::SupgError;
 use crate::fault::RetryStats;
 use crate::runtime::{parallel_map, RuntimeConfig};
 
+/// Multiply-rotate (Fx-style) hasher for the oracle layer's record-index
+/// tables: one rotate, xor and multiply per key, with a final rotate that
+/// moves the product's well-mixed high bits into the bucket bits, so
+/// strided indices spread as well as consecutive ones.
+///
+/// The hash is unkeyed, so a caller who chooses the keys could force
+/// collisions. These tables are only ever keyed by record indices that the
+/// library's own samplers and filters produce, never by client input,
+/// which is what makes dropping SipHash's keyed DoS resistance safe here.
+#[derive(Default)]
+pub(crate) struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by record index (`u32` or `usize`) over [`IndexHasher`] —
+/// the one table type of the labeling path (label cache, batch dedup,
+/// fault and retry attempt counters). See [`IndexHasher`] for why an
+/// unkeyed hash is safe for these keys.
+pub(crate) type IndexMap<K, V> = HashMap<K, V, BuildHasherDefault<IndexHasher>>;
+
 /// Per-thread accounting of wall-clock time spent inside oracle labeling.
 ///
 /// Every pipeline stage labels through [`BatchOracle::label_batch`], so
-/// timing that one choke point captures exactly the oracle-facing time of
-/// a query — threshold sweeps, artifact builds and result materialization
-/// never run inside it. Sessions diff [`labeling_clock::total`] around a
-/// query (the same pattern as [`Oracle::calls_used`] /
+/// timing that one choke point captures the oracle-facing time of a query
+/// — threshold sweeps, artifact builds and result materialization never
+/// run inside it. "Oracle-facing" includes the oracle stack's own
+/// bookkeeping (label cache, batch dedup, fault and retry wrappers) as
+/// well as the source's labels. Sessions diff [`labeling_clock::total`]
+/// around a query (the same pattern as [`Oracle::calls_used`] /
 /// [`Oracle::retry_stats`]) to fill
 /// [`QueryOutcome::oracle_elapsed`](crate::session::QueryOutcome::oracle_elapsed),
 /// which is what the planner's latency EWMA feeds on.
@@ -205,7 +251,9 @@ impl<O: Oracle + ?Sized> BatchOracle for O {
         // Charge the whole request — native or fallback — to the thread's
         // labeling clock: this is the single choke point every pipeline
         // stage labels through, so the diff a session takes around a
-        // query measures oracle time and nothing else.
+        // query measures the oracle stack's time: the source's labels plus
+        // the stack's own bookkeeping (cache, dedup, fault and retry
+        // wrappers), and nothing outside the stack.
         let _frame = labeling_clock::Frame::enter();
         if let Some(native) = self.label_batch_native(indices) {
             return native;
@@ -236,7 +284,7 @@ enum Source {
 pub struct CachedOracle {
     source: Source,
     len: usize,
-    cache: HashMap<u32, bool>,
+    cache: IndexMap<u32, bool>,
     used: usize,
     budget: usize,
     runtime: RuntimeConfig,
@@ -274,7 +322,7 @@ impl CachedOracle {
         Self {
             source: Source::Serial(Box::new(source)),
             len,
-            cache: HashMap::new(),
+            cache: IndexMap::default(),
             used: 0,
             budget,
             runtime: RuntimeConfig::default(),
@@ -297,7 +345,7 @@ impl CachedOracle {
         Self {
             source: Source::Shared(Box::new(source)),
             len,
-            cache: HashMap::new(),
+            cache: IndexMap::default(),
             used: 0,
             budget,
             runtime: RuntimeConfig::default(),
@@ -349,37 +397,66 @@ impl CachedOracle {
 
     /// Walks `indices` in order and collects the distinct cache misses that
     /// fit in the remaining budget, mirroring exactly where the sequential
-    /// loop would stop: the returned error (if any) is what record-by-record
+    /// loop would stop: the plan's error (if any) is what record-by-record
     /// labeling would have hit, after caching everything before it.
-    fn plan_batch(&self, indices: &[usize]) -> (Vec<usize>, Option<SupgError>) {
-        let mut misses = Vec::new();
-        let mut planned = HashSet::new();
+    fn plan_batch(&self, indices: &[usize]) -> BatchPlan {
+        // Sized for the most misses the batch can plan, so neither table
+        // regrows mid-walk.
+        let most = indices.len().min(self.budget.saturating_sub(self.used));
+        let mut plan = BatchPlan {
+            answers: Vec::with_capacity(indices.len()),
+            misses: Vec::with_capacity(most),
+            fills: Vec::new(),
+            error: None,
+        };
+        // Record index → its position in `misses`, so a duplicate of a
+        // planned miss reuses that miss's label.
+        let mut planned: IndexMap<usize, usize> =
+            IndexMap::with_capacity_and_hasher(most, Default::default());
         for &idx in indices {
             if idx >= self.len {
-                return (
-                    misses,
-                    Some(SupgError::IndexOutOfRange {
-                        index: idx,
-                        len: self.len,
-                    }),
-                );
+                plan.error = Some(SupgError::IndexOutOfRange {
+                    index: idx,
+                    len: self.len,
+                });
+                break;
             }
-            if self.cache.contains_key(&(idx as u32)) || planned.contains(&idx) {
+            if let Some(&label) = self.cache.get(&(idx as u32)) {
+                plan.answers.push(label);
                 continue;
             }
-            if self.used + misses.len() >= self.budget {
-                return (
-                    misses,
-                    Some(SupgError::BudgetExhausted {
-                        budget: self.budget,
-                    }),
-                );
-            }
-            planned.insert(idx);
-            misses.push(idx);
+            let slot = match planned.entry(idx) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    if self.used + plan.misses.len() >= self.budget {
+                        plan.error = Some(SupgError::BudgetExhausted {
+                            budget: self.budget,
+                        });
+                        break;
+                    }
+                    plan.misses.push(idx);
+                    *e.insert(plan.misses.len() - 1)
+                }
+            };
+            plan.fills.push((plan.answers.len(), slot));
+            plan.answers.push(false);
         }
-        (misses, None)
+        plan
     }
+}
+
+/// A batch walked against the cache by [`CachedOracle::plan_batch`].
+struct BatchPlan {
+    /// One answer per walked position: the cached label for a hit, a
+    /// placeholder for a miss until `fills` patches it.
+    answers: Vec<bool>,
+    /// Distinct uncached records within budget, in first-seen order.
+    misses: Vec<usize>,
+    /// `(answer position, index into misses)` for every position that
+    /// missed the cache, duplicates included.
+    fills: Vec<(usize, usize)>,
+    /// The error the sequential loop would stop at, if any.
+    error: Option<SupgError>,
 }
 
 impl Oracle for CachedOracle {
@@ -390,9 +467,10 @@ impl Oracle for CachedOracle {
                 len: self.len,
             });
         }
-        if let Some(&cached) = self.cache.get(&(index as u32)) {
-            return Ok(cached);
-        }
+        let slot = match self.cache.entry(index as u32) {
+            Entry::Occupied(e) => return Ok(*e.get()),
+            Entry::Vacant(slot) => slot,
+        };
         if self.used >= self.budget {
             return Err(SupgError::BudgetExhausted {
                 budget: self.budget,
@@ -402,7 +480,7 @@ impl Oracle for CachedOracle {
             Source::Serial(f) => f(index),
             Source::Shared(f) => f(index),
         };
-        self.cache.insert(index as u32, label);
+        slot.insert(label);
         self.used += 1;
         Ok(label)
     }
@@ -421,22 +499,24 @@ impl Oracle for CachedOracle {
         let Source::Shared(source) = &self.source else {
             return None;
         };
-        let (misses, err) = self.plan_batch(indices);
+        let plan = self.plan_batch(indices);
         // The misses are distinct uncached records within budget; their
         // labels are a pure function of the index, so the pool may compute
         // them in any order.
-        let labels = parallel_map(&self.runtime, &misses, |&i| source(i));
-        for (&idx, &label) in misses.iter().zip(&labels) {
+        let labels = parallel_map(&self.runtime, &plan.misses, |&i| source(i));
+        self.cache.reserve(labels.len());
+        for (&idx, &label) in plan.misses.iter().zip(&labels) {
             self.cache.insert(idx as u32, label);
-            self.used += 1;
         }
-        if let Some(e) = err {
+        self.used += labels.len();
+        if let Some(e) = plan.error {
             return Some(Err(e));
         }
-        Some(Ok(indices
-            .iter()
-            .map(|&i| *self.cache.get(&(i as u32)).expect("labeled above"))
-            .collect()))
+        let mut answers = plan.answers;
+        for (pos, slot) in plan.fills {
+            answers[pos] = labels[slot];
+        }
+        Some(Ok(answers))
     }
 
     fn configure_runtime(&mut self, runtime: RuntimeConfig) {

@@ -90,7 +90,7 @@ use std::sync::{Arc, RwLock};
 use supg_sampling::segmented::{normalize_powered_chunk, segment_cumulative, segment_total};
 use supg_sampling::weights::validate_scores;
 use supg_sampling::{
-    alias, apply_exponent, AliasTable, CdfSampler, ImportanceWeights, SegmentedAlias, SegmentedCdf,
+    alias, apply_exponent, AliasTable, CdfSampler, ImportanceWeights, SegmentedCdf,
     SegmentedWeights, WeightedSampler,
 };
 
@@ -188,13 +188,13 @@ fn chunked_map(
 }
 
 /// The sampler a [`WeightArtifacts`] carries: the O(1)-draw alias table
-/// or the cheap-to-build O(log n)-draw CDF fallback, each in its flat or
-/// segmented (chunk-resident, never concatenated) form.
+/// (one flat table for either corpus layout) or the cheap-to-build
+/// O(log n)-draw CDF fallback, in its flat or segmented (two-level,
+/// chunk-resident) form.
 #[derive(Debug, Clone)]
 enum SamplerBackend {
     Alias(AliasTable),
     Cdf(CdfSampler),
-    SegAlias(SegmentedAlias),
     SegCdf(SegmentedCdf),
 }
 
@@ -214,7 +214,8 @@ enum WeightStore {
 /// O(1)-draw alias table ([`build`](WeightArtifacts::build)) or the CDF
 /// fallback ([`build_cdf_with`](WeightArtifacts::build_cdf_with)),
 /// chosen by the serving layer's [`SamplerStrategy`]. Segmented corpora
-/// get the chunk-resident counterparts
+/// keep the distribution and the CDF in per-segment chunks and share the
+/// flat alias table
 /// ([`build_segmented_with`](WeightArtifacts::build_segmented_with) /
 /// [`build_segmented_cdf_with`](WeightArtifacts::build_segmented_cdf_with)).
 #[derive(Debug, Clone)]
@@ -301,15 +302,16 @@ impl WeightArtifacts {
         }
     }
 
-    /// Builds alias-backed artifacts over a segmented corpus, fully in
-    /// parallel per segment on the worker pool: the `A(x)^p` transform and
-    /// the normalization are element-wise per segment, the alias feeds
-    /// ([`alias::feed_slice`]) are one job per segment, and only the
-    /// floating-point normalizer reductions stay serial (walked in segment
-    /// order — the flat left-to-right sum). Per-index probabilities,
-    /// acceptance values, alias targets and seeded draws are all
-    /// **bit-identical** to the flat [`build`](Self::build) over the
-    /// concatenated scores, at any segment size and any `parallelism`.
+    /// Builds alias-backed artifacts over a segmented corpus: the
+    /// `A(x)^p` transform and the normalization run per segment on the
+    /// worker pool into a chunk-resident distribution, and the alias table
+    /// is the flat [`AliasTable`] over the segments' probabilities (filled
+    /// segment by segment, then one serial classify-and-pair pass). The
+    /// floating-point normalizer reductions stay serial, walked in segment
+    /// order (the flat left-to-right sum). Per-index probabilities, the
+    /// whole alias table and seeded draws are all **bit-identical** to the
+    /// flat [`build`](Self::build) over the concatenated scores, at any
+    /// segment size and any `parallelism`.
     ///
     /// # Panics
     /// As [`build`](Self::build) (bad exponent/mix, zero total mass).
@@ -320,10 +322,10 @@ impl WeightArtifacts {
         rt: &RuntimeConfig,
     ) -> Self {
         let weights = build_segmented_weights(seg, exponent, uniform_mix, rt);
-        let sampler = build_segmented_alias(&weights, rt);
+        let sampler = build_segmented_alias(&weights);
         Self {
             weights: WeightStore::Segmented(weights),
-            sampler: SamplerBackend::SegAlias(sampler),
+            sampler: SamplerBackend::Alias(sampler),
         }
     }
 
@@ -400,13 +402,13 @@ impl WeightArtifacts {
         match &self.sampler {
             SamplerBackend::Alias(table) => table,
             SamplerBackend::Cdf(cdf) => cdf,
-            SamplerBackend::SegAlias(table) => table,
             SamplerBackend::SegCdf(cdf) => cdf,
         }
     }
 
-    /// The flat alias table, when these artifacts are backed by one
-    /// (tests and benchmarks that compare table layouts structurally).
+    /// The alias table, when these artifacts are backed by one (flat and
+    /// segmented corpora alike; tests and benchmarks compare tables
+    /// structurally).
     pub fn alias_sampler(&self) -> Option<&AliasTable> {
         match &self.sampler {
             SamplerBackend::Alias(table) => Some(table),
@@ -454,7 +456,7 @@ fn build_segmented_weights(
     rt: &RuntimeConfig,
 ) -> SegmentedWeights {
     let pool = segment_pool(rt);
-    let powered: Vec<Vec<f64>> = runtime::parallel_map(&pool, seg.segments(), |s| {
+    let mut powered: Vec<Vec<f64>> = runtime::parallel_map(&pool, seg.segments(), |s| {
         validate_scores(s.scores(), exponent);
         apply_exponent(s.scores(), exponent)
     });
@@ -465,40 +467,36 @@ fn build_segmented_weights(
         }
     }
     let n = seg.len();
-    let normalized = runtime::parallel_map(&pool, &powered, |chunk| {
-        let mut out = chunk.clone();
-        normalize_powered_chunk(&mut out, total, uniform_mix, n);
-        out
+    runtime::for_each_mut(&pool, &mut powered, |chunk| {
+        normalize_powered_chunk(chunk, total, uniform_mix, n);
     });
-    SegmentedWeights::from_normalized_chunks(normalized)
+    SegmentedWeights::from_normalized_chunks(powered)
 }
 
-/// The segmented alias construction: the serial validating `Σ` (segment
-/// order — the flat reduction), then one [`alias::feed_slice`] pool job
-/// per segment, then the serial Vose pairing over the stitched stacks
-/// ([`SegmentedAlias::from_feeds`]). Bit-identical to the flat
-/// [`build_alias_pooled`] over the concatenated weights.
-fn build_segmented_alias(weights: &SegmentedWeights, rt: &RuntimeConfig) -> SegmentedAlias {
+/// The segmented alias construction: the flat [`AliasTable`] over the
+/// segments' probabilities. The serial `Σ` walks the segments in order
+/// (the flat reduction), the normalize (`w / total`) and scale (`p · n`)
+/// maps fill one flat `probs`/`scaled` pair segment by segment, and
+/// [`AliasTable::from_normalized`] runs the serial classify scan and Vose
+/// pairing — the same operations in the same order as the flat
+/// [`build_alias_pooled`], so the table is bit-identical to it.
+fn build_segmented_alias(weights: &SegmentedWeights) -> AliasTable {
     let n = weights.len();
-    let k = weights.num_segments();
+    let chunks = || (0..weights.num_segments()).map(|c| weights.chunk(c));
     let mut total = 0.0f64;
-    for c in 0..k {
-        for &w in weights.chunk(c) {
+    for chunk in chunks() {
+        for &w in chunk {
             total += w;
         }
     }
-    assert!(total > 0.0, "SegmentedAlias: weights sum to zero");
-    let mut offsets = Vec::with_capacity(k);
-    let mut offset = 0usize;
-    for c in 0..k {
-        offsets.push(offset);
-        offset += weights.chunk(c).len();
+    assert!(total > 0.0, "AliasTable: weights sum to zero");
+    let mut probs = Vec::with_capacity(n);
+    for chunk in chunks() {
+        probs.extend(chunk.iter().map(|&w| w / total));
     }
-    let jobs: Vec<usize> = (0..k).collect();
-    let feeds = runtime::parallel_map(&segment_pool(rt), &jobs, |&c| {
-        alias::feed_slice(weights.chunk(c), total, n, offsets[c])
-    });
-    SegmentedAlias::from_feeds(feeds)
+    let n_f = n as f64;
+    let scaled = probs.iter().map(|&p| p * n_f).collect();
+    AliasTable::from_normalized(probs, scaled)
 }
 
 /// The two-level parallel CDF build: per-segment local totals (phase 1)
@@ -747,9 +745,9 @@ impl PreparedDataset {
         Self::from_corpus(PreparedCorpus::Flat(data))
     }
 
-    /// Prepares an owned segmented corpus: every artifact this dataset
-    /// builds — per-segment rank indexes, weights, samplers — is
-    /// chunk-resident and constructed segment-parallel, and queries
+    /// Prepares an owned segmented corpus: the per-segment rank indexes,
+    /// the weights and the CDF sampler are chunk-resident and constructed
+    /// segment-parallel (the alias table is one flat table), and queries
     /// produce bit-identical [`QueryOutcome`](crate::session::QueryOutcome)s
     /// to a flat preparation of the concatenated scores (under the
     /// default [`SamplerStrategy::Alias`]).
@@ -1316,7 +1314,11 @@ mod tests {
         for parallelism in [1, 4, 8] {
             let rt = RuntimeConfig::default().with_parallelism(parallelism);
             let arts = WeightArtifacts::build_segmented_with(&seg, 0.5, 0.1, &rt);
-            assert!(arts.alias_sampler().is_none(), "segmented table, not flat");
+            assert_eq!(
+                arts.alias_sampler().expect("alias-backed"),
+                flat.alias_sampler().expect("alias-backed"),
+                "alias table parallelism={parallelism}"
+            );
             assert!(!arts.draws_via_cdf());
             for i in 0..scores.len() {
                 assert_eq!(

@@ -163,6 +163,32 @@ where
     out
 }
 
+/// Applies `f` to every item in place, on up to `cfg.parallelism` scoped
+/// worker threads that each take one contiguous run of items. Each item
+/// is visited exactly once, so an element-wise `f` gives the same result
+/// at every setting; with one worker no thread is spawned.
+///
+/// # Panics
+/// Propagates panics from `f` (workers are joined before returning).
+pub(crate) fn for_each_mut<T, F>(cfg: &RuntimeConfig, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    let workers = cfg.parallelism.max(1).min(items.len().max(1));
+    if workers == 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let run = items.len().div_ceil(workers);
+    let f = &f;
+    thread::scope(|scope| {
+        for part in items.chunks_mut(run) {
+            scope.spawn(move || part.iter_mut().for_each(f));
+        }
+    });
+}
+
 /// Inputs below this size are not worth dispatching to the pool for pure
 /// CPU work — the chunk/merge bookkeeping would cost more than it saves.
 /// Shared by every CPU-bound chunked stage (rank-index build, weight

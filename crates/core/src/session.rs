@@ -290,6 +290,9 @@ pub struct QueryOutcome<R = SelectionResult> {
     pub filter_elapsed: Duration,
     /// Wall-clock time spent *inside oracle labeling* (every
     /// `label_batch` issued by the sampling stage and the JT filter).
+    /// That is the source's labels plus the oracle stack's own
+    /// bookkeeping around them: the label cache, batch dedup, and any
+    /// fault-injection and retry wrappers.
     /// Unlike `elapsed` this excludes threshold sweeps, artifact builds
     /// and result materialization, which is why the adaptive planner's
     /// latency EWMA feeds on `oracle_elapsed / oracle_calls` — a fast

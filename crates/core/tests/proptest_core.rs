@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use supg_core::selectors::SelectorConfig;
 use supg_core::{
-    ApproxQuery, CachedOracle, Oracle, OracleSample, ScoredDataset, SelectorKind, SupgSession,
-    TargetKind,
+    ApproxQuery, BatchOracle, CachedOracle, Oracle, OracleSample, RuntimeConfig, ScoredDataset,
+    SelectorKind, SupgSession, TargetKind,
 };
 
 /// Strategy: a small dataset of (score, label) pairs with at least one
@@ -153,5 +153,45 @@ proptest! {
             prop_assert_eq!(got, labels[idx]);
         }
         prop_assert_eq!(oracle.calls_used(), distinct.len());
+    }
+
+    #[test]
+    fn batch_native_oracle_matches_the_serial_model(
+        labels in prop::collection::vec(any::<bool>(), 1..48),
+        raw_batches in prop::collection::vec(prop::collection::vec(0usize..1_000, 0..40), 1..6),
+        budget in 0usize..60,
+        batch_size in 1usize..8,
+    ) {
+        // Indices fold into 0..n + 2: small corpora repeat records often
+        // (duplicates within and across batches), and the two slots past
+        // the end exercise the out-of-range error.
+        let n = labels.len();
+        let batches: Vec<Vec<usize>> = raw_batches
+            .iter()
+            .map(|b| b.iter().map(|&r| r % (n + 2)).collect())
+            .collect();
+        for parallelism in [1, 2, 4] {
+            let mut native = CachedOracle::from_labels(labels.clone(), budget).with_runtime(
+                RuntimeConfig::default()
+                    .with_parallelism(parallelism)
+                    .with_batch_size(batch_size),
+            );
+            let owned = labels.clone();
+            let mut model = CachedOracle::new(n, budget, move |i| owned[i]);
+            for batch in &batches {
+                let got = native.label_batch(batch);
+                // The model: record by record, stopping at the first error.
+                let expected = batch
+                    .iter()
+                    .map(|&i| model.label(i))
+                    .collect::<Result<Vec<bool>, _>>();
+                prop_assert_eq!(&got, &expected, "p={} batch={:?}", parallelism, batch);
+                prop_assert_eq!(native.calls_used(), model.calls_used());
+                for i in 0..n + 2 {
+                    prop_assert_eq!(native.cached(i), model.cached(i), "record {}", i);
+                }
+                prop_assert_eq!(native.known_positives(), model.known_positives());
+            }
+        }
     }
 }

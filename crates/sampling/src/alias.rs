@@ -139,10 +139,10 @@ impl AliasTable {
     /// Builds the table from the already-normalized probabilities and
     /// their mean-1 scaling `scaled[i] = probs[i] · n` — the two O(n)
     /// element-wise feeds of [`new`](AliasTable::new), split out so a
-    /// caller can compute them chunk-by-chunk on a worker pool
-    /// (`supg_core::prepared` does) and still get a table bit-identical
-    /// to the serial construction: Vose's partitioning itself consumes
-    /// the feeds in index order either way.
+    /// caller can compute them piecewise (the segmented build in
+    /// `supg_core::prepared` fills them segment by segment) and still get
+    /// a table bit-identical to the serial construction: Vose's
+    /// partitioning itself consumes the feeds in index order either way.
     ///
     /// # Panics
     /// Panics if the vectors are empty, disagree in length, or exceed
@@ -161,8 +161,8 @@ impl AliasTable {
             "AliasTable: more than u32::MAX entries"
         );
         // Scaled probabilities: mean 1. Partition into small/large stacks.
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
+        let mut small: Vec<u32> = Vec::with_capacity(scaled.len());
+        let mut large: Vec<u32> = Vec::with_capacity(scaled.len());
         for (i, &s) in scaled.iter().enumerate() {
             if s < 1.0 {
                 small.push(i as u32);

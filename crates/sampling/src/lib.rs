@@ -23,9 +23,9 @@
 //!
 //! [`reservoir`] adds single-pass reservoir sampling (Algorithm L) for
 //! streaming ingestion scenarios. [`segmented`] provides the per-segment
-//! counterparts ([`SegmentedWeights`]/[`SegmentedAlias`]/[`SegmentedCdf`])
-//! that keep every artifact in per-segment chunks for 10⁸–10⁹-record
-//! corpora — no contiguous allocation, no build-time re-merge.
+//! counterparts ([`SegmentedWeights`]/[`SegmentedCdf`]) that keep the
+//! distribution and the CDF in per-segment chunks for 10⁸–10⁹-record
+//! corpora; segmented corpora share the flat [`AliasTable`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -44,6 +44,6 @@ pub use calibrate::{measure_feed_throughput, FeedThroughput};
 pub use cdf::CdfSampler;
 pub use reservoir::reservoir_sample;
 pub use sampler::WeightedSampler;
-pub use segmented::{SegmentedAlias, SegmentedCdf, SegmentedWeights};
+pub use segmented::{SegmentedCdf, SegmentedWeights};
 pub use uniform::{sample_with_replacement, sample_without_replacement};
 pub use weights::{apply_exponent, ImportanceWeights};

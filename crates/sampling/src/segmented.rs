@@ -12,15 +12,6 @@
 //!   floating-point reduction — the normalizer Σ — is one serial
 //!   accumulator walked over the chunks in order, exactly the flat sum;
 //!   everything else is element-wise per chunk).
-//! * [`SegmentedAlias`] — the global Vose alias table stored in
-//!   per-segment chunks. Built from the same [`FeedSlice`] chunks the
-//!   flat [`AliasTable::from_feeds`] consumes, but the per-chunk
-//!   `probs`/`scaled` arrays are **never concatenated** — only the cheap
-//!   `u32` small/large stacks are stitched (in chunk order, reproducing
-//!   the serial partition scan), and the Vose pairing writes acceptance
-//!   values and alias targets straight into the chunk-resident arrays.
-//!   Draws consume the RNG stream identically to the flat table and
-//!   return bit-identical indices at every segment layout.
 //! * [`SegmentedCdf`] — the two-level CDF sampler: a per-segment level of
 //!   global cumulative weights plus a segment-total top level
 //!   (`tops[c]` = cumulative mass through segment `c`). The build is
@@ -34,6 +25,13 @@
 //!   rounding near segment boundaries; each layout is individually
 //!   deterministic and samples the identical distribution.
 //!
+//! There is no segmented alias table: Vose's pairing loop is serial and
+//! jumps between arbitrary slots, so a chunk-resident table pays a chunk
+//! lookup on every access. A segmented corpus builds the flat
+//! [`AliasTable`] over its segments' probabilities instead
+//! ([`AliasTable::from_normalized`]), which is bit-identical to the flat
+//! build.
+//!
 //! All samplers honor the zero-weight contract: an index with zero weight
 //! is never drawn, including when the uniform draw rounds up to the total
 //! mass (draws clamp to the last *positive-weight* index, not merely the
@@ -42,7 +40,6 @@
 use rand::{Rng, RngCore};
 
 use crate::alias::AliasTable;
-use crate::alias::FeedSlice;
 use crate::sampler::WeightedSampler;
 
 /// Maps a global index to its `(chunk, local)` position over contiguous,
@@ -207,186 +204,6 @@ impl SegmentedWeights {
         );
         let raw: Vec<f64> = subset.iter().map(|&i| self.prob(i)).collect();
         AliasTable::new(&raw)
-    }
-}
-
-/// The global Vose alias table of a segmented corpus, stored in
-/// per-segment chunks. Structurally and behaviorally equivalent to the
-/// flat [`AliasTable`] over the concatenated weights: acceptance values,
-/// alias targets and every seeded draw are bit-identical at any segment
-/// layout (see the [module docs](self)).
-#[derive(Debug, Clone)]
-pub struct SegmentedAlias {
-    /// Acceptance probability per slot, chunk-resident.
-    accept: Vec<Vec<f64>>,
-    /// Alias target per slot (global `u32` indices), chunk-resident.
-    alias: Vec<Vec<u32>>,
-    /// Normalized probability per slot, chunk-resident.
-    probs: Vec<Vec<f64>>,
-    map: ChunkMap,
-}
-
-impl SegmentedAlias {
-    /// Builds the table from per-segment weight chunks: one serial
-    /// validating total (in chunk order — the flat reduction), then one
-    /// [`FeedSlice`](crate::alias::feed_slice) per chunk, then
-    /// [`from_feeds`](Self::from_feeds). Callers with a worker pool
-    /// evaluate the feeds in parallel and call `from_feeds` directly.
-    ///
-    /// # Panics
-    /// As [`AliasTable::new`]: empty weights, a negative/non-finite
-    /// weight, or zero total mass.
-    pub fn from_weight_chunks(chunks: &[Vec<f64>]) -> Self {
-        let n: usize = chunks.iter().map(Vec::len).sum();
-        assert!(n > 0, "SegmentedAlias: empty weights");
-        let mut total = 0.0f64;
-        for chunk in chunks {
-            for &w in chunk {
-                assert!(w.is_finite() && w >= 0.0, "SegmentedAlias: bad weight {w}");
-                total += w;
-            }
-        }
-        assert!(total > 0.0, "SegmentedAlias: weights sum to zero");
-        let mut feeds = Vec::with_capacity(chunks.len());
-        let mut offset = 0usize;
-        for chunk in chunks {
-            feeds.push(crate::alias::feed_slice(chunk, total, n, offset));
-            offset += chunk.len();
-        }
-        Self::from_feeds(feeds)
-    }
-
-    /// Builds the table from chunked feeds without ever concatenating the
-    /// per-chunk `probs`/`scaled` arrays: only the `u32` small/large
-    /// stacks are stitched in chunk order (reproducing the serial
-    /// partition scan), and the Vose pairing reads and writes the
-    /// chunk-resident arrays through the chunk directory. The resulting
-    /// acceptance/alias values are bit-identical to
-    /// [`AliasTable::from_feeds`] over the same feeds.
-    ///
-    /// # Panics
-    /// Panics if the feeds are empty overall, any feed is empty, or they
-    /// exceed `u32::MAX` entries.
-    pub fn from_feeds(feeds: Vec<FeedSlice>) -> Self {
-        let map = ChunkMap::new(feeds.iter().map(|f| f.probs.len()));
-        assert!(
-            map.len <= u32::MAX as usize,
-            "SegmentedAlias: more than u32::MAX entries"
-        );
-        let mut probs = Vec::with_capacity(feeds.len());
-        let mut scaled = Vec::with_capacity(feeds.len());
-        let mut small = Vec::with_capacity(feeds.iter().map(|f| f.small.len()).sum());
-        let mut large = Vec::with_capacity(feeds.iter().map(|f| f.large.len()).sum());
-        for feed in feeds {
-            probs.push(feed.probs);
-            scaled.push(feed.scaled);
-            small.extend_from_slice(&feed.small);
-            large.extend_from_slice(&feed.large);
-        }
-        let mut alias: Vec<Vec<u32>> = scaled.iter().map(|c| vec![0_u32; c.len()]).collect();
-
-        // Vose's pairing over the stitched stacks — the same sequence of
-        // reads and writes as the flat loop, landing in chunk-resident
-        // slots instead of one array.
-        let get = |chunks: &[Vec<f64>], map: &ChunkMap, i: u32| -> f64 {
-            let (c, local) = map.locate(i as usize);
-            chunks[c][local]
-        };
-        loop {
-            match (small.pop(), large.pop()) {
-                (Some(s), Some(l)) => {
-                    let (sc, s_local) = map.locate(s as usize);
-                    alias[sc][s_local] = l;
-                    let donated = (get(&scaled, &map, l) + scaled[sc][s_local]) - 1.0;
-                    let (lc, l_local) = map.locate(l as usize);
-                    scaled[lc][l_local] = donated;
-                    if donated < 1.0 {
-                        small.push(l);
-                    } else {
-                        large.push(l);
-                    }
-                }
-                (drained_s, drained_l) => {
-                    for i in drained_s.into_iter().chain(drained_l) {
-                        let (c, local) = map.locate(i as usize);
-                        scaled[c][local] = 1.0;
-                    }
-                    break;
-                }
-            }
-        }
-        for i in small.into_iter().chain(large) {
-            let (c, local) = map.locate(i as usize);
-            scaled[c][local] = 1.0;
-        }
-        Self {
-            accept: scaled,
-            alias,
-            probs,
-            map,
-        }
-    }
-
-    /// Number of indices in the table.
-    pub fn len(&self) -> usize {
-        self.map.len
-    }
-
-    /// True when the table has no entries (construction forbids this, so
-    /// this is always false; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.map.len == 0
-    }
-
-    /// Number of segments.
-    pub fn num_segments(&self) -> usize {
-        self.accept.len()
-    }
-
-    /// Normalized sampling probability of global index `i`.
-    pub fn prob(&self, i: usize) -> f64 {
-        let (c, local) = self.map.locate(i);
-        self.probs[c][local]
-    }
-
-    /// Acceptance probability of slot `i` — exposed for structural parity
-    /// tests against the flat [`AliasTable::accept`].
-    pub fn accept_at(&self, i: usize) -> f64 {
-        let (c, local) = self.map.locate(i);
-        self.accept[c][local]
-    }
-
-    /// Alias target of slot `i` — exposed for structural parity tests
-    /// against the flat [`AliasTable::aliases`].
-    pub fn alias_at(&self, i: usize) -> u32 {
-        let (c, local) = self.map.locate(i);
-        self.alias[c][local]
-    }
-
-    /// Draws one index — the same one uniform index + one uniform float
-    /// the flat table consumes, so seeded draws are bit-identical.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let i = rng.gen_range(0..self.map.len);
-        let (c, local) = self.map.locate(i);
-        if rng.gen::<f64>() < self.accept[c][local] {
-            i
-        } else {
-            self.alias[c][local] as usize
-        }
-    }
-}
-
-impl WeightedSampler for SegmentedAlias {
-    fn len(&self) -> usize {
-        SegmentedAlias::len(self)
-    }
-
-    fn prob(&self, i: usize) -> f64 {
-        SegmentedAlias::prob(self, i)
-    }
-
-    fn draw(&self, rng: &mut dyn RngCore) -> usize {
-        self.sample(rng)
     }
 }
 
@@ -639,47 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn segmented_alias_is_structurally_identical_to_flat() {
-        let weights: Vec<f64> = (0..500)
-            .map(|i| {
-                if i % 13 == 0 {
-                    0.0
-                } else {
-                    ((i * 31) % 97) as f64 / 97.0
-                }
-            })
-            .collect();
-        let flat = AliasTable::new(&weights);
-        for chunk in [1, 3, 100, 500] {
-            let seg = SegmentedAlias::from_weight_chunks(&chunked(&weights, chunk));
-            assert_eq!(seg.len(), flat.len());
-            for i in 0..weights.len() {
-                assert_eq!(
-                    seg.accept_at(i).to_bits(),
-                    flat.accept()[i].to_bits(),
-                    "chunk={chunk} accept {i}"
-                );
-                assert_eq!(
-                    seg.alias_at(i),
-                    flat.aliases()[i],
-                    "chunk={chunk} alias {i}"
-                );
-                assert_eq!(
-                    seg.prob(i).to_bits(),
-                    flat.prob(i).to_bits(),
-                    "chunk={chunk} prob {i}"
-                );
-            }
-            // Same RNG consumption, same indices, draw for draw.
-            let mut a = StdRng::seed_from_u64(7);
-            let mut b = StdRng::seed_from_u64(7);
-            for _ in 0..2_000 {
-                assert_eq!(seg.sample(&mut a), flat.sample(&mut b));
-            }
-        }
-    }
-
-    #[test]
     fn segmented_cdf_single_segment_matches_flat_bitwise() {
         let weights: Vec<f64> = (0..300).map(|i| ((i * 17) % 29) as f64 / 29.0).collect();
         let flat = CdfSampler::new(&weights);
@@ -774,19 +550,13 @@ mod tests {
     #[test]
     fn erased_draws_match_inherent_draws() {
         let weights: Vec<f64> = (1..=64).map(|i| (i as f64).sqrt()).collect();
-        let alias = SegmentedAlias::from_weight_chunks(&chunked(&weights, 10));
         let cdf = SegmentedCdf::from_weight_chunks(&chunked(&weights, 10));
-        let mut a = StdRng::seed_from_u64(23);
-        let mut b = StdRng::seed_from_u64(23);
-        for _ in 0..500 {
-            assert_eq!(WeightedSampler::draw(&alias, &mut a), alias.sample(&mut b));
-        }
         let mut a = StdRng::seed_from_u64(29);
         let mut b = StdRng::seed_from_u64(29);
         for _ in 0..500 {
             assert_eq!(WeightedSampler::draw(&cdf, &mut a), cdf.sample(&mut b));
         }
-        assert_eq!(WeightedSampler::len(&alias), 64);
+        assert_eq!(WeightedSampler::len(&cdf), 64);
         assert!(!WeightedSampler::is_empty(&cdf));
     }
 
@@ -794,12 +564,6 @@ mod tests {
     #[should_panic(expected = "sum to zero")]
     fn segmented_cdf_rejects_all_zero_weights() {
         SegmentedCdf::from_weight_chunks(&[vec![0.0, 0.0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad weight")]
-    fn segmented_alias_rejects_negative_weights() {
-        SegmentedAlias::from_weight_chunks(&[vec![1.0, -0.5]]);
     }
 
     #[test]
